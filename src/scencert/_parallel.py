@@ -1,6 +1,8 @@
-"""Thread-count resolution shared by the table, refinement and Monte
-Carlo drivers.  Work units are pure functions of their inputs, so results
-never depend on how many workers execute them."""
+"""Validation of the ``--threads`` cap taken by the table, refinement and
+Monte Carlo drivers.  All work runs in the calling thread: the cells and
+runs are pure Python that holds the interpreter lock, so a pool only added
+overhead.  The cap is still checked so that bad values are rejected, and
+results never depend on it."""
 
 from __future__ import annotations
 

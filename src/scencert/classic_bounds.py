@@ -3,20 +3,22 @@
 Three bounds that certify the risk of a fixed decision from Bernoulli
 counts alone: the additive Chernoff bound, the exact Clopper-Pearson
 upper confidence limit, and the prior sample-size bound of the scenario
-approach.  The last two are roots of binomial tail equations and share
-one bisection routine.
+approach.  The last two are roots of binomial tail equations found by
+``bisect``, the bisection routine every certificate root in the package
+goes through.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .binom_tail import log_binom_cdf
 
 __all__ = [
     "DEFAULT_TOL",
     "MAX_BISECT_ITER",
+    "bisect",
     "ChernoffBound",
     "chernoff_bound",
     "clopper_pearson",
@@ -30,6 +32,32 @@ MAX_BISECT_ITER = 200
 def check_confidence(beta: float) -> None:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"confidence level beta must lie in (0, 1), got {beta}")
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"require finite {name} > 0, got {tol}")
+
+
+def bisect(
+    below_root: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Final bracket of a deterministic-midpoint bisection on [lo, hi].
+
+    ``below_root(x)`` must be true below the root and false above it.
+    Halving stops once the bracket is narrower than ``tol`` or after
+    MAX_BISECT_ITER midpoints, whichever comes first; the cap keeps a
+    tolerance below the double spacing at the root from spinning forever.
+    """
+    for _ in range(MAX_BISECT_ITER):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 class ChernoffBound(NamedTuple):
@@ -62,18 +90,9 @@ def _binom_tail_root(n: int, m: int, beta: float, tol: float) -> float:
     deterministic-midpoint bisection converges unconditionally; the
     comparison runs in log space because beta is typically ~1e-6.
     """
-    if tol <= 0.0:
-        raise ValueError(f"require tol > 0, got {tol}")
+    check_tol(tol)
     log_beta = math.log(beta)
-    lo, hi = 0.0, 1.0
-    for _ in range(MAX_BISECT_ITER):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if log_binom_cdf(n, m, mid) > log_beta:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda x: log_binom_cdf(n, m, x) > log_beta, 0.0, 1.0, tol)
     return 0.5 * (lo + hi)
 
 

@@ -213,7 +213,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
                             help="'uniform' or a JSON coefficient file")
     if "threads" in names:
         parser.add_argument("--threads", type=int, default=None,
-                            help="parallelism cap (default: all cores)")
+                            help="thread cap, at least 1; work runs in one thread")
     if "kind" in names:
         parser.add_argument("--kind", choices=sorted(_KIND_BY_FLAG),
                             required=True, help="toy scenario program")

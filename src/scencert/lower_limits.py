@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .binom_tail import log_binom_cdf, log_sum_exp
-from .classic_bounds import DEFAULT_TOL, MAX_BISECT_ITER
+from .classic_bounds import DEFAULT_TOL, bisect, check_tol
 from .posterior_bounds import CertificateProblem, _check_cell
 
 __all__ = [
@@ -75,8 +75,7 @@ def lower_limit(
     to 0 with the ``degenerate`` flag set instead of raising.
     """
     _check_cell(problem, k, l)
-    if tol <= 0.0:
-        raise ValueError(f"require tol > 0, got {tol}")
+    check_tol(tol)
     if k == 0:
         return LowerLimit(0.0, False)
     z = z_coefficients(problem.n, problem.m, k)[: l + 1]
@@ -92,15 +91,7 @@ def lower_limit(
         )
         return log_sum_exp(log_z + tails)
 
-    lo, hi = 0.0, 1.0
-    for _ in range(MAX_BISECT_ITER):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if log_lhs(mid) > log_beta:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda eps: log_lhs(eps) > log_beta, 0.0, 1.0, tol)
     return LowerLimit(0.5 * (lo + hi), False)
 
 

@@ -19,7 +19,6 @@ overflow for plain evaluation once n reaches the thousands.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from scipy.special import gammaln
 
 from ._parallel import resolve_threads
 from .binom_tail import log_sum_exp
-from .classic_bounds import DEFAULT_TOL, MAX_BISECT_ITER, check_confidence
+from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
 __all__ = [
     "CertificateProblem",
@@ -233,8 +232,7 @@ def solve_root(
     _check_cell(problem, k, l)
     if not 0.0 <= warm_lower < 1.0:
         raise ValueError(f"require 0 <= warm_lower < 1, got {warm_lower}")
-    if tol <= 0.0:
-        raise ValueError(f"require tol > 0, got {tol}")
+    check_tol(tol)
     ev = _evaluator if _evaluator is not None else _SignEvaluator(problem, coeffs)
     lower, upper = float(warm_lower), 1.0
     if lower > 0.0 and ev.sign(lower, k, l) < 0:
@@ -248,14 +246,7 @@ def solve_root(
             raise BracketError(k, l, backed, upper)
         else:
             lower = backed
-    for _ in range(MAX_BISECT_ITER):
-        if upper - lower < tol:
-            break
-        mid = 0.5 * (lower + upper)
-        if ev.sign(mid, k, l) >= 0:
-            lower = mid
-        else:
-            upper = mid
+    lower, upper = bisect(lambda t: ev.sign(t, k, l) >= 0, lower, upper, tol)
     return 0.5 * (lower + upper)
 
 
@@ -291,32 +282,21 @@ def bound_table(
 
     Within each support count k the validation index l is swept from m
     down to 0 so that every root warm-starts the next one below it.
-    Rows are independent and are mapped over a thread pool; the result
-    is identical for any worker count.
+    ``threads`` is validated but all cells are solved in the calling
+    thread, so the result never depends on it.
     """
     coeffs.validate_for(problem)
-    if tol <= 0.0:
-        raise ValueError(f"require tol > 0, got {tol}")
+    check_tol(tol)
+    resolve_threads(threads)
     ev = _SignEvaluator(problem, coeffs)
-
-    def row(k: int) -> np.ndarray:
-        out = np.empty(problem.m + 1)
+    t = np.empty((problem.zeta + 1, problem.m + 1))
+    for k in range(problem.zeta + 1):
         warm = 0.0
         for l in range(problem.m, -1, -1):
             warm = solve_root(
                 k, l, problem, coeffs, warm_lower=warm, tol=tol, _evaluator=ev
             )
-            out[l] = warm
-        return out
-
-    ks = range(problem.zeta + 1)
-    workers = resolve_threads(threads)
-    if workers == 1:
-        rows = [row(k) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, ks))
-    t = np.vstack(rows)
+            t[k, l] = warm
     return BoundTable(problem, coeffs, tol, t, 1.0 - t)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .binom_tail import log_binom_cdf
-from .classic_bounds import DEFAULT_TOL
+from .classic_bounds import DEFAULT_TOL, check_tol
 from .posterior_bounds import (
     BoundTable,
     CertificateProblem,
@@ -236,8 +236,7 @@ def refine(
     """
     if max_iter < 1:
         raise ValueError(f"require max_iter >= 1, got {max_iter}")
-    if tol_converge <= 0.0:
-        raise ValueError(f"require tol_converge > 0, got {tol_converge}")
+    check_tol(tol_converge, "tol_converge")
     if problem.n > _CONDITION_REFUSE_N:
         raise ValueError(
             f"refinement rows are numerically meaningless for n={problem.n} "

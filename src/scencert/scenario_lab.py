@@ -18,7 +18,6 @@ tractable family checks the machinery, not the family.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -243,10 +242,12 @@ def run_monte_carlo(
     solves the scenario program on the first n, counts validation
     violations on the rest, and looks its certificates up in tables
     computed once and shared across runs.  Identical ``master_seed``
-    gives a bit-identical record stream for any thread count.
+    gives a bit-identical record stream; ``threads`` is validated but
+    every run executes in the calling thread.
     """
     if runs < 1:
         raise ValueError(f"require runs >= 1, got {runs}")
+    resolve_threads(threads)
     cert = CertificateProblem(n, m, problem.zeta, beta)
     if coeffs is None:
         coeffs = CoefficientVector.uniform(cert)
@@ -276,12 +277,7 @@ def run_monte_carlo(
             tie=solution.tie,
         )
 
-    workers = resolve_threads(threads)
-    if workers == 1:
-        records = [one(i) for i in range(runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(runs)))
+    records = [one(i) for i in range(runs)]
     return _aggregate(records, m), records
 
 

@@ -6,7 +6,33 @@ import numpy as np
 import pytest
 
 from scencert.binom_tail import binom_cdf
-from scencert.classic_bounds import apriori_epsilon, chernoff_bound, clopper_pearson
+from scencert.classic_bounds import (
+    MAX_BISECT_ITER,
+    apriori_epsilon,
+    bisect,
+    chernoff_bound,
+    clopper_pearson,
+)
+
+
+class TestBisect:
+    def test_bracket_holds_root_and_is_narrower_than_tol(self):
+        root = 1.0 / 3.0
+        lo, hi = bisect(lambda x: x <= root, 0.0, 1.0, 1e-10)
+        assert lo <= root < hi
+        assert hi - lo < 1e-10
+
+    def test_tolerance_below_double_spacing_stops_at_iteration_cap(self):
+        calls = []
+
+        def below_root(x):
+            calls.append(x)
+            return x <= 1.0 / 3.0
+
+        lo, hi = bisect(below_root, 0.0, 1.0, 1e-300)
+        assert len(calls) == MAX_BISECT_ITER
+        assert lo <= 1.0 / 3.0 < hi
+        assert hi - lo <= math.ulp(1.0 / 3.0)
 
 
 class TestChernoff:

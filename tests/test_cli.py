@@ -76,6 +76,27 @@ class TestExitCodes:
         assert code == 3
         assert "zeta" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (("apriori", "--n", "100", "--zeta", "8", "--beta", "1e-6",
+          "--tol", "inf"), "tol"),
+        (("cp", "--m", "100", "--l", "10", "--beta", "1e-6", "--tol", "nan"),
+         "tol"),
+        (("bound", "--n", "100", "--m", "100", "--zeta", "18", "--k", "5",
+          "--l", "7", "--beta", "1e-6", "--tol", "nan"), "tol"),
+        (("lower-limit", "--n", "100", "--m", "25", "--zeta", "10", "--k", "3",
+          "--l", "4", "--beta", "1e-6", "--tol", "nan"), "tol"),
+        (("refine", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
+          "--tol-converge", "nan"), "tol_converge"),
+        (("table", "--n", "20", "--m", "4", "--zeta", "3", "--beta", "1e-6",
+          "--threads", "0", "--output", "unused.csv"), "thread count"),
+    ])
+    def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
+                                            args, message):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *args)
+        assert code == 3
+        assert message in err
+
     def test_lp_failure_maps_to_exit_four(self, capsys, monkeypatch):
         import scencert.cli as cli_module
         from scencert.simplex import LPInfeasibleError
