@@ -27,7 +27,6 @@ from .lower_limits import (
 )
 from .posterior_bounds import (
     BoundTable,
-    BracketError,
     CertificateProblem,
     CoefficientVector,
     bound_table,
@@ -85,7 +84,6 @@ __all__ = [
     "CertificateProblem",
     "CoefficientVector",
     "BoundTable",
-    "BracketError",
     "certificate_sign",
     "solve_root",
     "bound_table",

@@ -7,7 +7,7 @@ Every certificate in this package reduces to evaluating the lower tail
 of a Binomial(n, t) distribution, for n up to ~1e5 and tail values down to
 ~1e-12.  Direct summation overflows long before that (C(1000, 500) exceeds
 the double range), so every term is assembled in log space and the terms
-are combined with a compensated log-sum-exp.
+are combined with a max-shifted log-sum-exp.
 """
 
 from __future__ import annotations
@@ -39,21 +39,23 @@ def log_binom_coeff(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def log_sum_exp(log_terms) -> float:
-    """ln(sum_i exp(v_i)) without overflow.
+def log_sum_exp(log_terms):
+    """ln(sum_i exp(v_i)) over the last axis, without overflow.
 
-    Terms are exponentiated relative to the largest one and accumulated
-    with compensated summation, so the result keeps full double precision
-    on the dominant terms.  ``-inf`` entries drop out; an empty or
-    all-``-inf`` input yields ``-inf``.
+    Terms are exponentiated relative to the largest one, so every summand
+    lies in [0, 1] and plain summation keeps full double precision on the
+    dominant terms.  ``-inf`` entries drop out; an empty or all-``-inf``
+    input yields ``-inf``.  A 1-d input gives a float, a stack of rows
+    one value per row.
     """
     arr = np.asarray(log_terms, dtype=float)
     if arr.size == 0:
         return -math.inf
-    mx = float(np.max(arr))
-    if mx == -math.inf:
-        return -math.inf
-    return mx + math.log(math.fsum(np.exp(arr - mx)))
+    mx = arr.max(axis=-1, keepdims=True)
+    dead = mx == -math.inf  # all -inf: shift by 0 and take ln 1, not ln 0
+    total = np.exp(arr - np.where(dead, 0.0, mx)).sum(axis=-1, keepdims=True) + dead
+    out = (mx + np.log(total))[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def log_binom_cdf(n: int, m: int, t: float) -> float:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .binom_tail import log_binom_cdf
 
 __all__ = [
@@ -39,24 +41,35 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"require finite {name} > 0, got {tol}")
 
 
-def bisect(
-    below_root: Callable[[float], bool], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
+def bisect(below_root: Callable, lo, hi, tol: float):
     """Final bracket of a deterministic-midpoint bisection on [lo, hi].
 
     ``below_root(x)`` must be true below the root and false above it.
     Halving stops once the bracket is narrower than ``tol`` or after
     MAX_BISECT_ITER midpoints, whichever comes first; the cap keeps a
     tolerance below the double spacing at the root from spinning forever.
+
+    ``lo`` and ``hi`` may also be arrays of brackets; ``below_root`` then
+    gets the array of midpoints and answers elementwise, and each element
+    follows the midpoint sequence it would follow alone.  Scalar brackets
+    stay plain floats throughout.
     """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    if scalar:
+        lo, hi = float(lo), float(hi)
+    else:
+        lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
     for _ in range(MAX_BISECT_ITER):
-        if hi - lo < tol:
+        open_ = hi - lo >= tol
+        if not (open_ if scalar else open_.any()):
             break
         mid = 0.5 * (lo + hi)
-        if below_root(mid):
-            lo = mid
+        below = below_root(mid)
+        if scalar:
+            lo, hi = (mid, hi) if below else (lo, mid)
         else:
-            hi = mid
+            lo = np.where(open_ & below, mid, lo)
+            hi = np.where(open_ & ~below, mid, hi)
     return lo, hi
 
 

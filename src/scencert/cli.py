@@ -22,7 +22,6 @@ from .classic_bounds import (
 )
 from .lower_limits import lower_limit, lower_limit_table
 from .posterior_bounds import (
-    BracketError,
     CertificateProblem,
     CoefficientVector,
     bound_table,
@@ -298,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         args.format = "jsonl"  # record streams are line-oriented
     try:
         return args.func(args)
-    except (ValueError, BracketError, RefinementError, OSError) as exc:
+    except (ValueError, RefinementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except LPError as exc:

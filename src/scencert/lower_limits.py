@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .binom_tail import log_binom_cdf, log_sum_exp
+from .binom_tail import log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_tol
 from .posterior_bounds import CertificateProblem, _check_cell
 
@@ -84,11 +84,15 @@ def lower_limit(
     log_z = np.log(z)
     log_beta = math.log(problem.beta)
     n_total = problem.n + problem.m
+    # The tails B_{n+m}(eps; k+j-1), j = 0..l, are the prefix sums of the
+    # pmf terms i = 0..k+l-1 from index k-1 on; k+l-1 < n+m, so none of
+    # them is the full mass.
+    i = np.arange(k + l, dtype=float)
+    log_comb = gammaln(n_total + 1.0) - gammaln(i + 1.0) - gammaln(n_total - i + 1.0)
 
     def log_lhs(eps: float) -> float:
-        tails = np.array(
-            [log_binom_cdf(n_total, k + j - 1, eps) for j in range(l + 1)]
-        )
+        terms = log_comb + i * math.log(eps) + (n_total - i) * math.log1p(-eps)
+        tails = np.minimum(np.logaddexp.accumulate(terms)[k - 1 :], 0.0)
         return log_sum_exp(log_z + tails)
 
     lo, hi = bisect(lambda eps: log_lhs(eps) > log_beta, 0.0, 1.0, tol)

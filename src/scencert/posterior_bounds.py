@@ -28,11 +28,14 @@ from ._parallel import resolve_threads
 from .binom_tail import log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
+# Largest number of log-terms a margin evaluation holds at once; a grid
+# row with more cells x terms than this is evaluated in slices.
+_BATCH_ELEMENTS = 1 << 16
+
 __all__ = [
     "CertificateProblem",
     "CoefficientVector",
     "BoundTable",
-    "BracketError",
     "certificate_sign",
     "solve_root",
     "bound_table",
@@ -115,25 +118,8 @@ class CoefficientVector:
             )
 
 
-class BracketError(RuntimeError):
-    """A bisection bracket lost its sign invariant.
-
-    Happens only on numerically impossible roots; carries the offending
-    cell and bracket for diagnosis.
-    """
-
-    def __init__(self, k: int, l: int, lower: float, upper: float):
-        super().__init__(
-            f"no sign change for cell (k={k}, l={l}) on [{lower!r}, {upper!r}]"
-        )
-        self.k = k
-        self.l = l
-        self.lower = lower
-        self.upper = upper
-
-
 class _SignEvaluator:
-    """Precomputed log-space pieces for many sign queries against one
+    """Precomputed log-space pieces for many margin queries against one
     (problem, coefficients) pair.  Read-only after construction."""
 
     def __init__(self, problem: CertificateProblem, coeffs: CoefficientVector):
@@ -157,33 +143,34 @@ class _SignEvaluator:
             )
             self._powers.append((jk - k).astype(float))
 
-    def margin(self, t: float, k: int, l: int) -> float:
-        """ln of the weighted-polynomial side minus ln of the tail side;
-        positive below the root, negative above it."""
-        log_t = math.log(t)
-        lhs = self.log_beta + log_sum_exp(self._base[k] + self._powers[k] * log_t)
-        if l >= self.m:
-            log_tail = 0.0  # B_m(1-t; m) == 1 identically, also covers m == 0
-        else:
-            sl = slice(0, l + 1)
-            log_tail = min(
-                log_sum_exp(
-                    self._log_comb_m[sl]
-                    + self._i[sl] * math.log1p(-t)
-                    + (self.m - self._i[sl]) * log_t
-                ),
-                0.0,
-            )
-        rhs = self._log_comb_n_k[k] + (self.n - k) * log_t + log_tail
-        return lhs - rhs
+    def margin(self, t: np.ndarray, k: int, l: np.ndarray) -> np.ndarray:
+        """ln of the weighted-polynomial side minus ln of the tail side,
+        for cells (k, l[i]) at roots t[i]; positive below the root,
+        negative above it.  Cells are evaluated in batches of at most
+        _BATCH_ELEMENTS log-terms so that long rows stay small in memory."""
+        t, l = np.asarray(t, dtype=float), np.asarray(l)
+        step = max(1, _BATCH_ELEMENTS // (self.n - k + self.m + 2))
+        return np.concatenate([
+            self._margin(t[s : s + step], k, l[s : s + step])
+            for s in range(0, t.size, step)
+        ])
 
-    def sign(self, t: float, k: int, l: int) -> int:
-        d = self.margin(t, k, l)
-        if d > 0.0:
-            return 1
-        if d < 0.0:
-            return -1
-        return 0
+    def _margin(self, t: np.ndarray, k: int, l: np.ndarray) -> np.ndarray:
+        log_t = np.log(t)[:, None]
+        lhs = self.log_beta + log_sum_exp(self._base[k] + self._powers[k] * log_t)
+        # B_m(1-t; l) for every l at once: prefix sums of one row of pmf
+        # terms.  l == m is the full mass, exactly 1, which covers m == 0.
+        top = int(l.max()) + 1
+        terms = (
+            self._log_comb_m[:top]
+            + self._i[:top] * np.log1p(-t)[:, None]
+            + (self.m - self._i[:top]) * log_t
+        )
+        tails = np.logaddexp.accumulate(terms, axis=-1)
+        picked = tails[np.arange(len(l)), l]
+        log_tail = np.where(l >= self.m, 0.0, np.minimum(picked, 0.0))
+        rhs = self._log_comb_n_k[k] + (self.n - k) * log_t[:, 0] + log_tail
+        return lhs - rhs
 
 
 def _check_cell(problem: CertificateProblem, k: int, l: int) -> None:
@@ -210,7 +197,14 @@ def certificate_sign(
         raise ValueError(f"require 0 < t < 1, got t={t}")
     _check_cell(problem, k, l)
     coeffs.validate_for(problem)
-    return _SignEvaluator(problem, coeffs).sign(t, k, l)
+    return int(np.sign(_SignEvaluator(problem, coeffs).margin([t], k, [l])[0]))
+
+
+def _row_roots(ev: _SignEvaluator, k: int, l: np.ndarray, tol: float) -> np.ndarray:
+    # One cold bisection on [0, 1] for the cells (k, l[i]) together; the
+    # midpoint of each final bracket lies within tol/2 of its root.
+    lower, upper = bisect(lambda t: ev.margin(t, k, l) >= 0.0, np.zeros(len(l)), 1.0, tol)
+    return 0.5 * (lower + upper)
 
 
 def solve_root(
@@ -218,36 +212,17 @@ def solve_root(
     l: int,
     problem: CertificateProblem,
     coeffs: CoefficientVector,
-    warm_lower: float = 0.0,
     tol: float = DEFAULT_TOL,
-    _evaluator: _SignEvaluator | None = None,
 ) -> float:
-    """Root t(k, l) in (0, 1) by bisection from a known lower bracket.
+    """Root t(k, l) in (0, 1): the one-cell case of a grid-row solve.
 
-    ``warm_lower`` is typically the previously computed root t(k, l+1),
-    which sits below t(k, l); pass 0.0 when nothing better is known.  The
-    loop keeps the sign positive at the lower end and negative at the
-    upper end and stops once the bracket is narrower than ``tol``.
+    Bisection starts from the whole interval [0, 1], keeps the sign
+    positive at the lower end and negative at the upper end, and returns
+    the midpoint of the first bracket narrower than ``tol``.
     """
     _check_cell(problem, k, l)
-    if not 0.0 <= warm_lower < 1.0:
-        raise ValueError(f"require 0 <= warm_lower < 1, got {warm_lower}")
     check_tol(tol)
-    ev = _evaluator if _evaluator is not None else _SignEvaluator(problem, coeffs)
-    lower, upper = float(warm_lower), 1.0
-    if lower > 0.0 and ev.sign(lower, k, l) < 0:
-        # A warm start taken from an adjacent root can overshoot by up to
-        # ~tol when two roots nearly coincide; back off once before
-        # declaring the bracket impossible.
-        backed = lower - 2.0 * tol
-        if backed <= 0.0:
-            lower = 0.0
-        elif ev.sign(backed, k, l) < 0:
-            raise BracketError(k, l, backed, upper)
-        else:
-            lower = backed
-    lower, upper = bisect(lambda t: ev.sign(t, k, l) >= 0, lower, upper, tol)
-    return 0.5 * (lower + upper)
+    return float(_row_roots(_SignEvaluator(problem, coeffs), k, np.array([l]), tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,23 +255,17 @@ def bound_table(
 ) -> BoundTable:
     """Full (zeta+1) x (m+1) certificate grid.
 
-    Within each support count k the validation index l is swept from m
-    down to 0 so that every root warm-starts the next one below it.
-    ``threads`` is validated but all cells are solved in the calling
-    thread, so the result never depends on it.
+    Each row k is solved by one cold bisection on [0, 1] over all of its
+    cells at once; every cell follows the midpoint sequence ``solve_root``
+    follows for it alone.  ``threads`` is validated but all rows are
+    solved in the calling thread, so the result never depends on it.
     """
     coeffs.validate_for(problem)
     check_tol(tol)
     resolve_threads(threads)
     ev = _SignEvaluator(problem, coeffs)
-    t = np.empty((problem.zeta + 1, problem.m + 1))
-    for k in range(problem.zeta + 1):
-        warm = 0.0
-        for l in range(problem.m, -1, -1):
-            warm = solve_root(
-                k, l, problem, coeffs, warm_lower=warm, tol=tol, _evaluator=ev
-            )
-            t[k, l] = warm
+    l = np.arange(problem.m + 1)
+    t = np.array([_row_roots(ev, k, l, tol) for k in range(problem.zeta + 1)])
     return BoundTable(problem, coeffs, tol, t, 1.0 - t)
 
 

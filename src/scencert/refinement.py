@@ -92,17 +92,14 @@ def dominance_check(
         raise ValueError("table was built for a different problem")
     candidate.validate_for(problem)
     ev = _SignEvaluator(problem, candidate)
-    scale = problem.n + problem.m
-    cells = np.zeros(table.t.shape, dtype=bool)
-    for k in range(problem.zeta + 1):
-        for l in range(problem.m + 1):
-            t = float(table.t[k, l])
-            allowed = (
-                log_slack
-                if log_slack is not None
-                else 4.0 * scale * table.tol / t + 1e-10
-            )
-            cells[k, l] = ev.margin(t, k, l) >= -allowed
+    if log_slack is None:
+        allowed = 4.0 * (problem.n + problem.m) * table.tol / table.t + 1e-10
+    else:
+        allowed = np.full(table.t.shape, log_slack)
+    l = np.arange(problem.m + 1)
+    cells = np.array([
+        ev.margin(table.t[k], k, l) >= -allowed[k] for k in range(problem.zeta + 1)
+    ])
     return cells, bool(cells.all())
 
 
@@ -126,8 +123,7 @@ def build_refinement_lp(
     """
     if problem != table.problem:
         raise ValueError("table was built for a different problem")
-    if tau <= 0.0:
-        raise ValueError(f"require tau > 0, got {tau}")
+    check_tol(tau, "tau")
     if problem.n > _CONDITION_REFUSE_N:
         raise ValueError(
             f"refinement rows are numerically meaningless for n={problem.n} "
@@ -237,6 +233,7 @@ def refine(
     if max_iter < 1:
         raise ValueError(f"require max_iter >= 1, got {max_iter}")
     check_tol(tol_converge, "tol_converge")
+    check_tol(tau, "tau")
     if problem.n > _CONDITION_REFUSE_N:
         raise ValueError(
             f"refinement rows are numerically meaningless for n={problem.n} "

@@ -353,7 +353,7 @@ def incremental_judgement(
         if m_seen > 0:
             r += int(violations[m_seen - 1])
         cert = CertificateProblem(n_design, m_seen, zeta, beta)
-        root = solve_root(s, r, cert, coeffs, warm_lower=0.0, tol=tol)
+        root = solve_root(s, r, cert, coeffs, tol)
         eta = clopper_pearson(m_seen, r, beta, tol) if m_seen > 0 else None
         steps.append(IncrementalStep(m_seen, r, eta, 1.0 - root))
     return steps

@@ -89,6 +89,10 @@ class TestExitCodes:
           "--tol-converge", "nan"), "tol_converge"),
         (("table", "--n", "20", "--m", "4", "--zeta", "3", "--beta", "1e-6",
           "--threads", "0", "--output", "unused.csv"), "thread count"),
+        (("refine", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
+          "--tau", "nan"), "tau"),
+        (("refine", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
+          "--tau", "inf"), "tau"),
     ])
     def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
                                             args, message):

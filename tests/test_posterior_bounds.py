@@ -8,7 +8,6 @@ import pytest
 
 from scencert.classic_bounds import clopper_pearson
 from scencert.posterior_bounds import (
-    BracketError,
     CertificateProblem,
     CoefficientVector,
     bound_table,
@@ -130,23 +129,8 @@ class TestSolveRoot:
         table = bound_table(p, a, TOL)
         for k in (0, 3, 5):
             for l in (0, 4, 7):
-                cold = solve_root(k, l, p, a, warm_lower=0.0, tol=TOL)
+                cold = solve_root(k, l, p, a, tol=TOL)
                 assert abs(cold - table.t[k, l]) <= 2 * TOL
-
-    def test_bad_bracket_raises_with_cell(self):
-        p, a = uniform_problem(30, 2, 4)
-        root = solve_root(2, 1, p, a, tol=TOL)
-        with pytest.raises(BracketError) as info:
-            solve_root(2, 1, p, a, warm_lower=root + 0.05, tol=TOL)
-        assert info.value.k == 2
-        assert info.value.l == 1
-        assert info.value.upper == 1.0
-
-    def test_warm_start_overshoot_within_tol_is_tolerated(self):
-        p, a = uniform_problem(30, 2, 4)
-        root = solve_root(2, 1, p, a, tol=TOL)
-        nudged = solve_root(2, 1, p, a, warm_lower=root + 0.5 * TOL, tol=TOL)
-        assert abs(nudged - root) <= 2 * TOL
 
 
 class TestBoundTable:
