@@ -121,6 +121,12 @@ def _revised_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
 
     The basis array is updated in place and returned; each iteration
     re-solves against the original data, so no drift survives a pivot.
+    One basic solution per iteration serves both the ratio test and the
+    stall test.  Stalls count from the objective of the starting basis
+    (the first iteration always counts as progress over ``inf``): a
+    pivot that lowers the best objective so far resets the count, and
+    Bland's rule prices only after ``_STALL_LIMIT`` pivots in a row
+    without such progress.
     """
     n_rows = a.shape[0]
     stall = 0
@@ -128,6 +134,12 @@ def _revised_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
     for _ in range(_MAX_PIVOTS):
         basis_matrix = a[:, basis]
         x_basic = _solve_basis(a, basis, b)
+        objective = float(cost[basis] @ x_basic)
+        if objective < last_objective - 1e-12 * (1.0 + abs(objective)):
+            stall = 0
+            last_objective = objective
+        else:
+            stall += 1
         duals = np.linalg.solve(basis_matrix.T, cost[basis])
         reduced = cost - duals @ a
         reduced[basis] = 0.0
@@ -151,12 +163,6 @@ def _revised_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
         else:
             leaving = int(ties[np.argmax(direction[ties])])
         basis[leaving] = entering
-        objective = float(cost[basis] @ _solve_basis(a, basis, b))
-        if objective < last_objective - 1e-12 * (1.0 + abs(last_objective)):
-            stall = 0
-            last_objective = objective
-        else:
-            stall += 1
     raise SimplexError(f"pivot limit {_MAX_PIVOTS} exceeded ({n_rows} rows)")
 
 

@@ -114,6 +114,28 @@ class TestExitCodes:
         assert code == 4
         assert "LP failure" in err
 
+    def test_refine_beyond_readme_sizes_ends_in_bounded_time(self, capsys,
+                                                              monkeypatch):
+        # This LP once ran the simplex into its pivot limit after minutes;
+        # it may end in lp_failure, but only on a real verdict.
+        import scencert.refinement as refinement_module
+        from scencert.simplex import LPError, lp_solve
+
+        errors = []
+
+        def recording(lp):
+            try:
+                return lp_solve(lp)
+            except LPError as exc:
+                errors.append(str(exc))
+                raise
+
+        monkeypatch.setattr(refinement_module, "lp_solve", recording)
+        code, out, _ = run_cli(capsys, "refine", "--n", "100", "--m", "20",
+                               "--zeta", "8", "--beta", "1e-6")
+        assert (code, out.split()[0]) in {(0, "converged"), (4, "lp_failure")}
+        assert not any("pivot limit" in error for error in errors)
+
 
 class TestFiles:
     def test_table_grid_file(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Property tests on small random problems: the row-batched grid against
-single-cell roots, grid monotonicity, and dominance over the lower limits."""
+single-cell roots, grid monotonicity, dominance over the lower limits,
+the wait-and-judge column as the grid's ceiling, and monotone refinement."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,16 +12,18 @@ from scencert.posterior_bounds import (
     CoefficientVector,
     bound_table,
     solve_root,
+    wait_and_judge,
 )
+from scencert.refinement import refine
 
 TOL = 1e-10
 
 
 @st.composite
-def problems(draw):
+def problems(draw, max_m=8):
     n = draw(st.integers(3, 60))
     zeta = draw(st.integers(1, min(n - 1, 5)))
-    m = draw(st.integers(0, 8))
+    m = draw(st.integers(0, max_m))
     beta = 10.0 ** draw(st.floats(-8.0, -1.0))
     return CertificateProblem(n, m, zeta, beta)
 
@@ -56,3 +59,23 @@ def test_grid_dominates_lower_limits(p):
     eps = bound_table(p, CoefficientVector.uniform(p), TOL).eps
     limits = lower_limit_table(p, TOL).eps_lower
     assert (eps - limits).min() >= -2 * TOL
+
+
+@property_settings
+@given(problems())
+def test_grid_is_capped_by_wait_and_judge(p):
+    a = CoefficientVector.uniform(p)
+    eps = bound_table(p, a, TOL).eps
+    ceiling = wait_and_judge(p, a, TOL)
+    # With l = m every validation sample failed, and the tail factor is 1.
+    assert (eps - ceiling[:, None]).max() <= 2 * TOL
+    assert np.abs(eps[:, p.m] - ceiling).max() <= 2 * TOL
+
+
+@property_settings
+@given(problems(max_m=6))
+def test_refinement_never_moves_a_root_down(p):
+    trace = refine(p, CoefficientVector.uniform(p), TOL)
+    grids = [iteration.table.t for iteration in trace.iterations]
+    for before, after in zip(grids, grids[1:]):
+        assert (after - before).min() >= -2 * TOL
