@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binom_tail import log_binom_cdf
+from .binom_tail import log_binom_tails
 
 __all__ = [
     "DEFAULT_TOL",
@@ -96,33 +96,43 @@ def chernoff_bound(m: int, r: int, beta: float) -> ChernoffBound:
     return ChernoffBound(value, value > 1.0)
 
 
-def _binom_tail_root(n: int, m: int, beta: float, tol: float) -> float:
+def _binom_tail_root(n, m, beta: float, tol: float):
     """Unique x in (0, 1) with B_n(x; m) = beta, for 0 <= m < n.
 
     The tail is strictly decreasing from 1 at x = 0 to 0 at x = 1, so a
     deterministic-midpoint bisection converges unconditionally; the
     comparison runs in log space because beta is typically ~1e-6.
+    ``n`` and ``m`` may be arrays, which are solved in one bisection.
     """
     check_tol(tol)
     log_beta = math.log(beta)
-    lo, hi = bisect(lambda x: log_binom_cdf(n, m, x) > log_beta, 0.0, 1.0, tol)
+    n, m = np.broadcast_arrays(n, m)
+    lo, hi = bisect(
+        lambda x: log_binom_tails(n, m, np.log(x), np.log1p(-x)) > log_beta,
+        np.zeros(m.shape),
+        1.0,
+        tol,
+    )
     return 0.5 * (lo + hi)
 
 
-def clopper_pearson(m: int, l: int, beta: float, tol: float = DEFAULT_TOL) -> float:
+def clopper_pearson(m, l, beta: float, tol: float = DEFAULT_TOL):
     """Exact one-sided upper confidence bound for a binomial proportion.
 
     For l < m this is the root of B_m(x; l) = beta; at l == m the bound
-    is vacuous and equals one exactly.
+    is vacuous and equals one exactly.  ``m`` and ``l`` may also be
+    arrays that broadcast together: their bounds come from one array
+    bisection and equal the scalar calls elementwise.  Scalar inputs
+    return a float.
     """
-    if m < 1:
+    if np.any(np.less(m, 1)):
         raise ValueError(f"require m >= 1 validation samples, got m={m}")
-    if not 0 <= l <= m:
+    if np.any(np.less(l, 0) | np.greater(l, m)):
         raise ValueError(f"require 0 <= l <= m, got l={l}, m={m}")
     check_confidence(beta)
-    if l == m:
-        return 1.0
-    return _binom_tail_root(m, l, beta, tol)
+    if np.ndim(m) == 0 and np.ndim(l) == 0:
+        return 1.0 if l == m else _binom_tail_root(m, l, beta, tol)
+    return np.where(np.equal(l, m), 1.0, _binom_tail_root(m, l, beta, tol))
 
 
 def apriori_epsilon(n: int, zeta: int, beta: float, tol: float = DEFAULT_TOL) -> float:

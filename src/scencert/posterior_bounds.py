@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._parallel import resolve_threads
-from .binom_tail import log_sum_exp
+from .binom_tail import log_binom_tails, log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
 # Largest number of log-terms a margin evaluation holds at once; a grid
@@ -120,17 +120,21 @@ class CoefficientVector:
 
 class _SignEvaluator:
     """Precomputed log-space pieces for many margin queries against one
-    (problem, coefficients) pair.  Read-only after construction."""
+    (problem, coefficients) pair.  Read-only after construction.
 
-    def __init__(self, problem: CertificateProblem, coeffs: CoefficientVector):
-        n, m, zeta = problem.n, problem.m, problem.zeta
+    Every cell sees ``problem.m`` validation trials unless ``m`` gives a
+    trial count per cell; margin queries then pass their cells in that
+    order."""
+
+    def __init__(
+        self, problem: CertificateProblem, coeffs: CoefficientVector, m=None
+    ):
+        n, zeta = problem.n, problem.zeta
         self.n = n
-        self.m = m
+        self.m = np.asarray(problem.m if m is None else m)
+        self._max_m = int(self.m.max())
         self.log_beta = math.log(problem.beta)
-        lg = gammaln(np.arange(max(n, m) + 2, dtype=float))  # lg[x] = ln(x-1)!
-        i = np.arange(m + 1)
-        self._log_comb_m = lg[m + 1] - lg[i + 1] - lg[m - i + 1]
-        self._i = i.astype(float)
+        lg = gammaln(np.arange(n + 2, dtype=float))  # lg[x] = ln(x-1)!
         js = np.arange(n + 1)
         self._log_comb_n_k = np.empty(zeta + 1)
         self._base: list[np.ndarray] = []
@@ -148,34 +152,32 @@ class _SignEvaluator:
         for cells (k, l[i]) at roots t[i]; positive below the root,
         negative above it.  Cells are evaluated in batches of at most
         _BATCH_ELEMENTS log-terms so that long rows stay small in memory."""
-        t, l = np.asarray(t, dtype=float), np.asarray(l)
-        step = max(1, _BATCH_ELEMENTS // (self.n - k + self.m + 2))
+        t, l, m = np.asarray(t, dtype=float), np.asarray(l), self.m
+        step = max(1, _BATCH_ELEMENTS // (self.n - k + self._max_m + 2))
         return np.concatenate([
-            self._margin(t[s : s + step], k, l[s : s + step])
+            self._margin(
+                t[s : s + step], k, l[s : s + step], m if m.ndim == 0 else m[s : s + step]
+            )
             for s in range(0, t.size, step)
         ])
 
-    def _margin(self, t: np.ndarray, k: int, l: np.ndarray) -> np.ndarray:
-        log_t = np.log(t)[:, None]
-        lhs = self.log_beta + log_sum_exp(self._base[k] + self._powers[k] * log_t)
-        # B_m(1-t; l) for every l at once: prefix sums of one row of pmf
-        # terms.  l == m is the full mass, exactly 1, which covers m == 0.
-        top = int(l.max()) + 1
-        terms = (
-            self._log_comb_m[:top]
-            + self._i[:top] * np.log1p(-t)[:, None]
-            + (self.m - self._i[:top]) * log_t
-        )
-        tails = np.logaddexp.accumulate(terms, axis=-1)
-        picked = tails[np.arange(len(l)), l]
-        log_tail = np.where(l >= self.m, 0.0, np.minimum(picked, 0.0))
-        rhs = self._log_comb_n_k[k] + (self.n - k) * log_t[:, 0] + log_tail
+    def _margin(self, t: np.ndarray, k: int, l: np.ndarray, m) -> np.ndarray:
+        log_t = np.log(t)
+        lhs = self.log_beta + log_sum_exp(self._base[k] + self._powers[k] * log_t[:, None])
+        # B_m(1-t; l) from ln(1-t) and ln t; l == m is exactly 1, which
+        # covers m == 0.
+        log_tail = log_binom_tails(m, l, np.log1p(-t), log_t)
+        rhs = self._log_comb_n_k[k] + (self.n - k) * log_t + log_tail
         return lhs - rhs
 
 
-def _check_cell(problem: CertificateProblem, k: int, l: int) -> None:
+def _check_support(problem: CertificateProblem, k: int) -> None:
     if not 0 <= k <= problem.zeta:
         raise ValueError(f"require 0 <= k <= zeta={problem.zeta}, got k={k}")
+
+
+def _check_cell(problem: CertificateProblem, k: int, l: int) -> None:
+    _check_support(problem, k)
     if not 0 <= l <= problem.m:
         raise ValueError(f"require 0 <= l <= m={problem.m}, got l={l}")
 
@@ -209,20 +211,32 @@ def _row_roots(ev: _SignEvaluator, k: int, l: np.ndarray, tol: float) -> np.ndar
 
 def solve_root(
     k: int,
-    l: int,
+    l,
     problem: CertificateProblem,
     coeffs: CoefficientVector,
     tol: float = DEFAULT_TOL,
-) -> float:
+    m=None,
+):
     """Root t(k, l) in (0, 1): the one-cell case of a grid-row solve.
 
     Bisection starts from the whole interval [0, 1], keeps the sign
     positive at the lower end and negative at the upper end, and returns
     the midpoint of the first bracket narrower than ``tol``.
+
+    ``l`` may also be an array of cells with the one support count k,
+    solved in one array bisection in which each cell follows the
+    midpoint sequence it would follow alone.  Cell i then sees m[i]
+    validation trials (``problem.m`` by default), with
+    0 <= l[i] <= m[i] <= problem.m.  A scalar ``l`` returns a float.
     """
-    _check_cell(problem, k, l)
+    coeffs.validate_for(problem)
     check_tol(tol)
-    return float(_row_roots(_SignEvaluator(problem, coeffs), k, np.array([l]), tol)[0])
+    _check_support(problem, k)
+    trials = problem.m if m is None else np.asarray(m)
+    if np.any(np.less(l, 0) | np.greater(l, trials) | np.greater(trials, problem.m)):
+        raise ValueError(f"require 0 <= l <= m <= {problem.m}, got l={l}, m={trials}")
+    roots = _row_roots(_SignEvaluator(problem, coeffs, m), k, np.atleast_1d(l), tol)
+    return float(roots[0]) if np.ndim(l) == 0 else roots
 
 
 @dataclass(frozen=True, eq=False)

@@ -254,7 +254,7 @@ def run_monte_carlo(
     table = bound_table(cert, coeffs, tol, threads)
     judged = wait_and_judge(cert, coeffs, tol, threads)
     if m > 0:
-        eta_by_l = np.array([clopper_pearson(m, l, beta, tol) for l in range(m + 1)])
+        eta_by_l = clopper_pearson(m, np.arange(m + 1), beta, tol)
         chern_by_l = np.array([chernoff_bound(m, l, beta).value for l in range(m + 1)])
     else:
         eta_by_l = chern_by_l = None
@@ -338,22 +338,20 @@ def incremental_judgement(
     The two-indexed certificate starts at m = 0 from the support-count
     information alone; the Clopper-Pearson bound only exists from m = 1.
     A violating arrival pushes both bounds up, a satisfied one pulls both
-    down.
+    down.  Each sequence is one array solve: arrival i is the cell
+    (s, r_i) with i validation trials.
     """
     pts = _as_samples(problem, validation_samples)
-    zeta = problem.zeta
-    base = CertificateProblem(n_design, 0, zeta, beta)
+    cert = CertificateProblem(n_design, pts.shape[0], problem.zeta, beta)
     if coeffs is None:
-        coeffs = CoefficientVector.uniform(base)
-    s = solution.support_count
-    violations = violation_mask(problem, solution, pts)
-    steps: list[IncrementalStep] = []
-    r = 0
-    for m_seen in range(pts.shape[0] + 1):
-        if m_seen > 0:
-            r += int(violations[m_seen - 1])
-        cert = CertificateProblem(n_design, m_seen, zeta, beta)
-        root = solve_root(s, r, cert, coeffs, tol)
-        eta = clopper_pearson(m_seen, r, beta, tol) if m_seen > 0 else None
-        steps.append(IncrementalStep(m_seen, r, eta, 1.0 - root))
-    return steps
+        coeffs = CoefficientVector.uniform(cert)
+    seen = np.arange(pts.shape[0] + 1)
+    r = np.concatenate([[0], np.cumsum(violation_mask(problem, solution, pts))])
+    roots = solve_root(solution.support_count, r, cert, coeffs, tol, m=seen)
+    eta = clopper_pearson(seen[1:], r[1:], beta, tol)
+    return [
+        IncrementalStep(
+            int(i), int(r[i]), float(eta[i - 1]) if i else None, float(1.0 - roots[i])
+        )
+        for i in seen
+    ]

@@ -74,6 +74,29 @@ class TestClopperPearson:
         for m in (1, 9, 240):
             assert clopper_pearson(m, m, 1e-6) == 1.0
 
+    def test_array_equals_scalar_calls(self):
+        m = np.array([1, 1, 2, 7, 7, 100, 100, 100, 500])
+        l = np.array([0, 1, 1, 0, 7, 0, 10, 100, 2])
+        for beta in (1e-6, 0.05):
+            etas = clopper_pearson(m, l, beta)
+            scalar = [clopper_pearson(int(mi), int(li), beta) for mi, li in zip(m, l)]
+            assert etas.tolist() == scalar
+            assert etas[l == m].tolist() == [1.0, 1.0, 1.0]
+        table = clopper_pearson(100, np.arange(101), 1e-6)
+        assert table.tolist() == [clopper_pearson(100, li, 1e-6) for li in range(101)]
+        assert table[-1] == 1.0
+
+    def test_scalar_call_returns_float(self):
+        assert type(clopper_pearson(40, 3, 1e-6)) is float
+        assert type(clopper_pearson(40, 40, 1e-6)) is float
+
+    def test_array_domain_errors(self):
+        with pytest.raises(ValueError):
+            clopper_pearson(np.array([3, 0]), np.array([1, 0]), 1e-6)
+        with pytest.raises(ValueError):
+            clopper_pearson(5, np.array([2, 6]), 1e-6)
+        assert clopper_pearson(np.array([], dtype=int), np.array([], dtype=int), 1e-6).size == 0
+
     def test_single_trial_closed_form(self):
         # B_1(x; 0) = 1 - x, so the root is exactly 1 - beta
         for beta in (0.5, 0.01, 1e-6):

@@ -238,3 +238,15 @@ class TestIncremental:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[2] == ""  # no Clopper-Pearson bound before m = 1
+
+    def test_no_validation_samples(self, capsys):
+        code, out, _ = run_cli(capsys, "incremental", "--kind", "bounding-box",
+                               "--d", "2", "--n", "40", "--m", "0", "--beta", "1e-6",
+                               "--seed", "5")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "m,r,eta,eps"
+        assert len(lines) == 2  # header + the step at m = 0
+        m, r, eta, eps = lines[1].split(",")
+        assert (m, r, eta) == ("0", "0", "")
+        assert 0.0 < float(eps) < 1.0

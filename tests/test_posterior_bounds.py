@@ -132,6 +132,33 @@ class TestSolveRoot:
                 cold = solve_root(k, l, p, a, tol=TOL)
                 assert abs(cold - table.t[k, l]) <= 2 * TOL
 
+    def test_rejects_coefficients_without_mass_above_zeta(self):
+        # Valid for zeta = 10, but (50, 10, 45) needs mass on 45..49.
+        values = np.zeros(51)
+        values[10:20] = 0.1
+        coeffs = CoefficientVector(values, CertificateProblem(50, 10, 10, 1e-6))
+        p = CertificateProblem(50, 10, 45, 1e-6)
+        with pytest.raises(ValueError, match="positive mass"):
+            bound_table(p, coeffs, TOL)
+        with pytest.raises(ValueError, match="positive mass"):
+            solve_root(0, 0, p, coeffs, TOL)
+
+    def test_rejects_coefficients_built_for_another_n(self):
+        _, coeffs = uniform_problem(40, 5, 3)
+        p = CertificateProblem(50, 5, 3, 1e-6)
+        with pytest.raises(ValueError, match="built for n=40"):
+            solve_root(1, 2, p, coeffs, TOL)
+
+    def test_array_of_cells_equals_single_cells(self):
+        p, a = uniform_problem(30, 8, 4)
+        l = np.array([0, 3, 8, 5])
+        trials = np.array([0, 3, 8, 6])
+        roots = solve_root(2, l, p, a, TOL, m=trials)
+        for root, li, mi in zip(roots, l, trials):
+            cell = CertificateProblem(30, int(mi), 4, 1e-6)
+            assert root == solve_root(2, int(li), cell, a, TOL)
+        assert np.array_equal(solve_root(2, l, p, a, TOL), bound_table(p, a, TOL).t[2, l])
+
 
 class TestBoundTable:
     def test_last_column_is_wait_and_judge(self):

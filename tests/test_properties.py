@@ -1,11 +1,13 @@
 """Property tests on small random problems: the row-batched grid against
 single-cell roots, grid monotonicity, dominance over the lower limits,
-the wait-and-judge column as the grid's ceiling, and monotone refinement."""
+the wait-and-judge column as the grid's ceiling, monotone refinement, and
+the batched incremental sequence against per-arrival solves."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scencert.classic_bounds import clopper_pearson
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import (
     CertificateProblem,
@@ -15,6 +17,12 @@ from scencert.posterior_bounds import (
     wait_and_judge,
 )
 from scencert.refinement import refine
+from scencert.scenario_lab import (
+    ToyScenarioProblem,
+    incremental_judgement,
+    solve_scenario,
+    violation_mask,
+)
 
 TOL = 1e-10
 
@@ -79,3 +87,33 @@ def test_refinement_never_moves_a_root_down(p):
     grids = [iteration.table.t for iteration in trace.iterations]
     for before, after in zip(grids, grids[1:]):
         assert (after - before).min() >= -2 * TOL
+
+
+@st.composite
+def arrivals(draw):
+    kind = draw(st.sampled_from(["scalar_max", "bounding_box"]))
+    toy = ToyScenarioProblem(kind, 1 if kind == "scalar_max" else draw(st.integers(1, 2)))
+    n = draw(st.integers(toy.zeta + 1, 40))
+    arrived = draw(st.integers(0, 30))
+    beta = 10.0 ** draw(st.floats(-8.0, -1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return toy, n, beta, toy.sample(rng, n), toy.sample(rng, arrived)
+
+
+@property_settings
+@given(arrivals())
+def test_incremental_steps_equal_per_arrival_solves(case):
+    toy, n, beta, design, validation = case
+    solution = solve_scenario(toy, design)
+    steps = incremental_judgement(toy, solution, n, beta, validation, tol=TOL)
+    r = np.concatenate([[0], np.cumsum(violation_mask(toy, solution, validation))])
+    assert [(step.m, step.r) for step in steps] == list(enumerate(r.tolist()))
+    a = CoefficientVector.uniform(CertificateProblem(n, 0, toy.zeta, beta))
+    for step in steps:
+        cell = CertificateProblem(n, step.m, toy.zeta, beta)
+        root = solve_root(solution.support_count, step.r, cell, a, TOL)
+        assert abs(step.eps - (1.0 - root)) <= 2 * TOL
+        if step.m == 0:
+            assert step.eta is None
+        else:
+            assert abs(step.eta - clopper_pearson(step.m, step.r, beta, TOL)) <= 2 * TOL

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scencert.posterior_bounds import CertificateProblem, CoefficientVector
 from scencert.scenario_lab import (
     ToyScenarioProblem,
     count_validation_violations,
@@ -213,3 +214,13 @@ class TestIncrementalJudgement:
         p = CertificateProblem(40, 0, 1, 1e-6)
         judged = wait_and_judge(p, CoefficientVector.uniform(p))
         assert steps[0].eps == pytest.approx(judged[solution.support_count], abs=1e-9)
+
+    def test_rejects_coefficients_without_mass_above_zeta(self):
+        toy = box(2)  # zeta = 4
+        rng = np.random.default_rng(54)
+        solution = solve_scenario(toy, toy.sample(rng, 30))
+        values = np.zeros(31)
+        values[1:3] = 0.5
+        coeffs = CoefficientVector(values, CertificateProblem(30, 0, 1, 1e-6))
+        with pytest.raises(ValueError, match="positive mass"):
+            incremental_judgement(toy, solution, 30, 1e-6, toy.sample(rng, 5), coeffs=coeffs)
