@@ -6,18 +6,19 @@ Every certificate in this package reduces to evaluating the lower tail
 
 of a Binomial(n, t) distribution, for n up to ~1e5 and tail values down to
 ~1e-12.  Direct summation overflows long before that (C(1000, 500) exceeds
-the double range), so every term is assembled in log space and the terms
-are combined there: by a max-shifted log-sum-exp, or, for the tails of
-``log_binom_tails``, by a running log-add whose prefix at l is the tail.
+the double range).  ``log_binom_tails`` therefore takes each tail as one
+regularized incomplete beta value and only its logarithm; a tail too
+small for that value to keep its digits is summed in log space instead,
+as a running log-add of its terms.  Sums of other log-space terms go
+through the max-shifted ``log_sum_exp``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 __all__ = [
     "log_binom_coeff",
@@ -31,6 +32,13 @@ __all__ = [
 # differencing loses absolute accuracy ~1e-10 at n ~ 1e5, which is only
 # acceptable once the coefficient itself is large.
 _EXACT_FACTOR_LIMIT = 64
+
+# Incomplete beta values below this are recomputed in log space.  SciPy's
+# betainc underflows near 1e-308, and for l <= 38 it loses digits well
+# before that, as the power product it starts from goes subnormal: SciPy
+# 1.17.1 gives B_1000(0.527; 38) = 4.3e-255 as 5.4e-255.  Scanning m up to
+# 20000 and l up to 40 found no tail above 1e-240 off by 1e-9 in its log.
+_BETAINC_FLOOR = 1e-200
 
 
 def log_binom_coeff(n: int, k: int) -> float:
@@ -66,50 +74,49 @@ def log_sum_exp(log_terms):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=8)
-def _coefficient_row(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ln C(m, i), i and m - i for i = 0..m; read-only, as every caller
-    with trial count m shares them."""
-    i = np.arange(m + 1, dtype=float)
-    m_i = m - i
-    log_comb = gammaln(m + 1.0) - gammaln(i + 1.0) - gammaln(m_i + 1.0)
-    for row in (log_comb, i, m_i):
-        row.setflags(write=False)
-    return log_comb, i, m_i
-
-
 def log_binom_tails(m, l, log_x, log_1mx):
     """ln B_m(x; l) elementwise, from ln x and ln(1 - x).
 
     Upper index ``l`` and the point have one shape, with 0 <= l <= m and
     x strictly inside (0, 1); trial count ``m`` has that shape too, or is
-    a scalar that keeps one row of binomial coefficients for every
-    element.  ``l == m`` is the full mass and gives 0 exactly.  The point
-    comes as its two logs so that a caller at x = 1 - t can pass
-    log1p(-t) and ln t without rounding 1 - t first.
+    a scalar shared by every element.  ``l == m`` is the full mass and
+    gives 0 exactly.  The point comes as its two logs so that a caller at
+    x = 1 - t can pass log1p(-t) and ln t without rounding 1 - t first.
+
+    Each tail is one regularized incomplete beta value,
+    B_m(x; l) = I_{1-x}(m - l, l + 1), taken at 1 - x = exp(ln(1 - x)).
+    Tails below ``_BETAINC_FLOOR`` lose their digits there and are
+    summed in log space instead (``_log_tails_by_sum``).
     """
     m, l = np.asarray(m), np.asarray(l)
-    top = int(l.max()) + 1
-    if m.ndim == 0:
-        log_comb, i, m_i = (row[:top] for row in _coefficient_row(int(m)))
-    else:
-        i = np.arange(top, dtype=float)
-        m_i = m[..., None] - i
-        # Clipping m - i only keeps the coefficients of terms past an
-        # element's own m finite; no tail picked below reaches them.
-        log_comb = gammaln(m[..., None] + 1.0) - gammaln(i + 1.0) - gammaln(
-            np.maximum(m_i, 0.0) + 1.0
+    tail = betainc(m - l, l + 1, np.exp(log_1mx))
+    out = np.log(np.maximum(tail, _BETAINC_FLOOR))
+    low = tail < _BETAINC_FLOOR
+    if low.any():
+        out = np.array(out)
+        out[low] = _log_tails_by_sum(
+            np.broadcast_to(m, low.shape)[low],
+            l[low],
+            np.broadcast_to(log_x, low.shape)[low],
+            np.broadcast_to(log_1mx, low.shape)[low],
         )
-    terms = (
-        log_comb
-        + i * np.asarray(log_x)[..., None]
-        + m_i * np.asarray(log_1mx)[..., None]
-    )
+    # A tail is a probability; clamp rounding excursions above ln(1) = 0.
+    return np.where(l >= m, 0.0, np.minimum(out, 0.0))
+
+
+def _log_tails_by_sum(m, l, log_x, log_1mx):
+    """ln B_m(x; l) for 1-d arrays, as a running log-add over the terms
+    ln C(m, i) + i ln x + (m - i) ln(1 - x), i = 0..l."""
+    i = np.arange(int(l.max()) + 1, dtype=float)
+    m = m[:, None].astype(float)
+    m_i = m - i
+    # Clipping m - i only keeps the coefficients of terms past an
+    # element's own m finite; no tail picked below reaches them.
+    log_comb = gammaln(m + 1.0) - gammaln(i + 1.0) - gammaln(np.maximum(m_i, 0.0) + 1.0)
+    terms = log_comb + i * log_x[:, None] + m_i * log_1mx[:, None]
     # Every tail of an element from one running log-sum; keep the one at l.
     tails = np.logaddexp.accumulate(terms, axis=-1)
-    picked = tails.reshape(-1, tails.shape[-1])[np.arange(l.size), l.ravel()]
-    # A tail is a probability; clamp rounding excursions above ln(1) = 0.
-    return np.where(l >= m, 0.0, np.minimum(picked.reshape(l.shape), 0.0))
+    return tails[np.arange(l.size), l]
 
 
 def log_binom_cdf(n: int, m: int, t: float) -> float:

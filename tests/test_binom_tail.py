@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from scencert.binom_tail import binom_cdf, log_binom_cdf, log_binom_coeff, log_sum_exp
+from scipy.special import betainc
+
+from scencert.binom_tail import (
+    _BETAINC_FLOOR,
+    binom_cdf,
+    log_binom_cdf,
+    log_binom_coeff,
+    log_binom_tails,
+    log_sum_exp,
+)
 
 from helpers import exact_binom_cdf
 
@@ -63,6 +72,91 @@ class TestLogSumExp:
         # overflow-free: terms around 1e4 in log space
         v = np.array([10_000.0, 10_000.0 + math.log(2.0)])
         assert log_sum_exp(v) == pytest.approx(10_000.0 + math.log(3.0), rel=1e-14)
+
+
+def _log_exact(m: int, l: int, x: float) -> float:
+    # Scaled by 2^s into [1/2, 2] first, so that tails below the double
+    # range keep every digit.
+    exact = exact_binom_cdf(m, l, x)
+    s = exact.denominator.bit_length() - exact.numerator.bit_length()
+    return math.log(float(exact * 2**s)) - s * math.log(2.0)
+
+
+def _assert_log_close(got, want):
+    # Relative in the log, and never looser than 1e-12 in absolute terms
+    # (a relative error of 1e-12 in the tail) for tails near one.
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def _tails(m, l, x):
+    x = np.asarray(x, dtype=float)
+    return log_binom_tails(m, l, np.log(x), np.log1p(-x))
+
+
+class TestLogBinomTails:
+    def test_scalar_m_against_exact(self):
+        rng = np.random.default_rng(6)
+        for m in (1, 7, 60, 200):
+            l = rng.integers(0, m, size=10)
+            x = rng.random(10) * 0.98 + 0.01
+            got = _tails(m, l, x)
+            for gi, li, xi in zip(got, l, x):
+                _assert_log_close(gi, _log_exact(m, int(li), float(xi)))
+
+    def test_per_element_m_against_exact(self):
+        rng = np.random.default_rng(7)
+        m = rng.integers(1, 200, size=40)
+        l = np.array([int(rng.integers(0, mi)) for mi in m])
+        x = rng.random(40) * 0.98 + 0.01
+        got = _tails(m, l, x)
+        for gi, mi, li, xi in zip(got, m, l, x):
+            _assert_log_close(gi, _log_exact(int(mi), int(li), float(xi)))
+
+    def test_full_mass_is_exactly_zero(self):
+        assert np.array_equal(_tails(5, [5, 5], [0.3, 0.9]), [0.0, 0.0])
+        per_element = _tails(np.array([0, 3, 40]), [0, 3, 40], [0.5, 0.2, 0.7])
+        assert np.array_equal(per_element, [0.0] * 3)
+        assert float(_tails(0, 0, 0.5)) == 0.0
+
+    @pytest.mark.parametrize(
+        "m, l, x",
+        [
+            (300, 20, 0.5),  # 4e-60
+            (1000, 38, 0.527),  # 4e-255, SciPy 1.17.1's betainc: 5.4e-255
+            (1000, 20, 0.526),  # 2e-282
+            (600, 5, 0.6),  # 8e-227
+            (400, 0, 1.0 - 10**-0.625),  # 1e-250
+        ],
+    )
+    def test_deep_tails_against_exact(self, m, l, x):
+        want = _log_exact(m, l, x)
+        assert want < math.log(1e-50)
+        _assert_log_close(float(_tails(m, l, x)), want)
+
+    def test_underflow_falls_back_to_log_space(self):
+        # B_2000(1/2; 0) = 2^-2000 underflows the incomplete beta.
+        assert betainc(2000.0, 1.0, 0.5) < _BETAINC_FLOOR
+        got = float(_tails(2000, 0, 0.5))
+        assert math.isfinite(got)
+        want = 2000 * math.log(0.5)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # B_1000(0.6; 40) is about 7e-320: a subnormal incomplete beta
+        # value, below the floor, is recomputed too.
+        assert 0.0 < betainc(960.0, 41.0, 0.4) < _BETAINC_FLOOR
+        _assert_log_close(float(_tails(1000, 40, 0.6)), _log_exact(1000, 40, 0.6))
+
+    @pytest.mark.parametrize("per_element_m", [False, True])
+    def test_mixed_row_equals_element_calls(self, per_element_m):
+        l = np.array([0, 40, 5, 1000, 300, 2000, 0])
+        x = np.array([0.5, 0.6, 0.01, 0.5, 0.3, 0.4, 0.999])
+        m = np.array([2000, 1000, 50, 2000, 2000, 2000, 3]) if per_element_m else 2000
+        mm = np.broadcast_to(m, l.shape)
+        low = betainc(mm - l, l + 1, 1.0 - x) < _BETAINC_FLOOR
+        assert low.any() and not low.all()
+        row = _tails(m, l, x)
+        single = [float(_tails(int(mi), int(li), float(xi))) for mi, li, xi in zip(mm, l, x)]
+        assert np.array_equal(row, single)
+        assert np.all(np.isfinite(row)) and np.all(row <= 0.0)
 
 
 class TestBinomCdf:
