@@ -37,7 +37,8 @@ _EXACT_FACTOR_LIMIT = 64
 # betainc underflows near 1e-308, and for l <= 38 it loses digits well
 # before that, as the power product it starts from goes subnormal: SciPy
 # 1.17.1 gives B_1000(0.527; 38) = 4.3e-255 as 5.4e-255.  Scanning m up to
-# 20000 and l up to 40 found no tail above 1e-240 off by 1e-9 in its log.
+# 20000 found no tail above 1e-240 off by 1e-9 in its log for l <= 40, and
+# none between 1e-240 and 1e-60 off by 2e-13 relative for l from 40 to 1200.
 _BETAINC_FLOOR = 1e-200
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .binom_tail import log_binom_tails
+from .binom_tail import log_binom_cdf
 from .classic_bounds import DEFAULT_TOL, check_tol
 from .posterior_bounds import (
     BoundTable,
@@ -145,26 +145,21 @@ def build_refinement_lp(
     a_ge = np.zeros((n_cells + 1, n + 1))
     b_ge = np.zeros(n_cells + 1)
     objective = np.zeros(n + 1)
-    ls = np.arange(m_val + 1)
     row_idx = 0
     for k in range(zeta + 1):
         jk = js[k:]
         log_comb_jk = lg[jk + 1] - lg[k + 1] - lg[jk - k + 1]
         log_comb_nk = lg[n + 1] - lg[k + 1] - lg[n - k + 1]
-        t_row = [_backed_off(float(t), table.tol) for t in table.t[k]]
-        # The tails B_m(1 - t; l) of the whole row from one call; l == m
-        # is exactly 0.
-        x = 1.0 - np.array(t_row)
-        log_tails = log_binom_tails(m_val, ls, np.log(x), np.log1p(-x))
         for l in range(m_val + 1):
-            t = t_row[l]
+            t = _backed_off(float(table.t[k, l]), table.tol)
             log_t = math.log(t)
             log_coeffs = log_comb_jk + (jk - n) * log_t
             coeffs_row = np.exp(log_coeffs)
             objective[k:] += coeffs_row
             row = np.zeros(n + 1)
             row[k:] = math.exp(log_beta) * coeffs_row
-            rhs = math.exp(log_comb_nk + log_tails[l])
+            log_tail = 0.0 if l >= m_val else log_binom_cdf(m_val, l, 1.0 - t)
+            rhs = math.exp(log_comb_nk + log_tail)
             scale = float(np.abs(row).max())
             if not (np.isfinite(scale) and scale > 0.0 and np.isfinite(rhs)):
                 raise RefinementError(k, l, f"scale={scale!r}, rhs={rhs!r}")

@@ -24,8 +24,16 @@ def exact_binom_cdf(n: int, m: int, t) -> Fraction:
     if m < 0:
         return Fraction(0)
     tf = Fraction(t)
-    om = 1 - tf
-    return sum(comb(n, i) * tf**i * om ** (n - i) for i in range(min(m, n) + 1))
+    p, d = tf.numerator, tf.denominator
+    q = d - p  # 1 - t = q / d
+    k = min(m, n)
+    # Integer Horner sum h_i = h_{i-1} q + C(n, i) p^i, so that
+    # h_k = sum_{i<=k} C(n,i) p^i q^(k-i), with one division at the end.
+    h, p_pow = 1, 1
+    for i in range(1, k + 1):
+        p_pow *= p
+        h = h * q + comb(n, i) * p_pow
+    return Fraction(h * q ** (n - k), d**n)
 
 
 def exact_z(n: int, m: int, k: int) -> list[Fraction]:

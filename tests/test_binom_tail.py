@@ -126,6 +126,11 @@ class TestLogBinomTails:
             (1000, 20, 0.526),  # 2e-282
             (600, 5, 0.6),  # 8e-227
             (400, 0, 1.0 - 10**-0.625),  # 1e-250
+            # Upper indices in the hundreds.
+            (2000, 300, 0.309),  # 8e-61
+            (2000, 200, 0.321),  # 4e-121
+            (2000, 400, 0.528),  # 3e-200, just above the floor
+            (5000, 700, 0.297),  # 4e-150
         ],
     )
     def test_deep_tails_against_exact(self, m, l, x):

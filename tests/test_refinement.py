@@ -5,8 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from scencert import refinement
-from scencert.binom_tail import log_binom_tails
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
 from scencert.refinement import build_refinement_lp, dominance_check, refine
@@ -45,29 +43,6 @@ class TestBuildRefinementLp:
         assert lp.a_eq @ a.values == pytest.approx(lp.b_eq, abs=1e-12)
         solution = lp_solve(lp)
         assert solution.objective >= float(lp.c @ a.values) - 1e-9
-
-    def test_row_tails_equal_per_cell_build(self, monkeypatch):
-        # One tail call per grid row builds the same LP, bit for bit, as
-        # one call per cell (k, l) at x = 1 - backed-off t(k, l).
-        p = CertificateProblem(80, 10, 6, 1e-6)
-        table = bound_table(p, CoefficientVector.uniform(p), TOL)
-        by_row = build_refinement_lp(table, p)
-        rows = []
-
-        def per_cell(m, l, log_x, log_1mx):
-            k = len(rows)
-            rows.append(len(l))
-            tails = []
-            for cell in range(p.m + 1):
-                x = 1.0 - refinement._backed_off(float(table.t[k, cell]), TOL)
-                tails.append(float(log_binom_tails(p.m, cell, np.log(x), np.log1p(-x))))
-            return np.array(tails)
-
-        monkeypatch.setattr(refinement, "log_binom_tails", per_cell)
-        by_cell = build_refinement_lp(table, p)
-        assert rows == [p.m + 1] * (p.zeta + 1)
-        for name in ("c", "a_ge", "b_ge", "a_eq", "b_eq"):
-            assert np.array_equal(getattr(by_row, name), getattr(by_cell, name)), name
 
     def test_rejects_bad_tau(self):
         p, a = fig_config()
