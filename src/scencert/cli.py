@@ -112,6 +112,10 @@ def _cmd_lower_limit(args) -> int:
     table = lower_limit_table(problem, args.tol)
     text = table.to_csv() if args.format == "csv" else table.to_json()
     serialize.write_output(args.output, text)
+    degenerate = int(table.degenerate.sum())
+    if degenerate:
+        print(f"warning: {degenerate} of {table.degenerate.size} cells have no root; "
+              "their limit degenerates to 0", file=sys.stderr)
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ below the limit computed here: for k >= 1 it is the root in (0, 1) of
     sum_{j=0}^{l} z_j B_{n+m}(eps; k + j - 1) = beta,
 
 with mixture weights z_j = C(n,k) C(m,j) / C(n+m,k+j) * k/(k+j), and at
-k = 0 the limit is identically zero.  The degenerate grid that attains
-the limit at one chosen cell is also provided, for use in tightness
-demonstrations.
+k = 0 the limit is identically zero.  ``lower_limit`` takes one cell or
+an array of cells with the same k: the cells with a root are solved in
+one array bisection, and a grid row is one such call.  The degenerate
+grid that attains the limit at one chosen cell is also provided, for use
+in tightness demonstrations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from scipy.special import gammaln
 
 from .binom_tail import log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_tol
-from .posterior_bounds import CertificateProblem, _check_cell
+from .posterior_bounds import (
+    _BATCH_ELEMENTS,
+    CertificateProblem,
+    _check_cell,
+    _check_support,
+)
 
 __all__ = [
     "z_coefficients",
@@ -55,7 +62,8 @@ def z_coefficients(n: int, m: int, k: int) -> np.ndarray:
 
 
 class LowerLimit(NamedTuple):
-    """A lower-limit value plus a flag for the no-root boundary regime."""
+    """A lower-limit value plus a flag for the no-root boundary regime;
+    an array of each for an array of cells."""
 
     eps: float
     degenerate: bool
@@ -63,7 +71,7 @@ class LowerLimit(NamedTuple):
 
 def lower_limit(
     k: int,
-    l: int,
+    l,
     problem: CertificateProblem,
     tol: float = DEFAULT_TOL,
 ) -> LowerLimit:
@@ -73,30 +81,74 @@ def lower_limit(
     root exactly when the total weight sum_{j<=l} z_j exceeds beta; in
     the boundary regime where it does not, the limit degrades gracefully
     to 0 with the ``degenerate`` flag set instead of raising.
+
+    ``l`` may also be a 1-d array of cells with the one support count k.
+    The cells with a root are then solved in one array bisection on
+    [0, 1], in which each cell follows the midpoint sequence it would
+    follow alone, and the result is a ``LowerLimit`` of arrays.  A scalar
+    ``l`` returns a float and a bool.
     """
-    _check_cell(problem, k, l)
+    _check_support(problem, k)
+    if np.any(np.less(l, 0) | np.greater(l, problem.m)):
+        raise ValueError(f"require 0 <= l <= m={problem.m}, got l={l}")
     check_tol(tol)
-    if k == 0:
-        return LowerLimit(0.0, False)
-    z = z_coefficients(problem.n, problem.m, k)[: l + 1]
-    if float(z.sum()) <= problem.beta:
-        return LowerLimit(0.0, True)
-    log_z = np.log(z)
+    cells = np.atleast_1d(l)
+    eps = np.zeros(cells.shape)
+    degenerate = np.zeros(cells.shape, dtype=bool)
+    if k >= 1:
+        z = z_coefficients(problem.n, problem.m, k)
+        degenerate[...] = [float(z[: j + 1].sum()) <= problem.beta for j in cells]
+        live = np.flatnonzero(~degenerate)
+        live = live[np.argsort(cells[live], kind="stable")]
+        if live.size:
+            eps[live] = _solve_limits(k, cells[live], np.log(z), problem, tol)
+    if np.ndim(l) == 0:
+        return LowerLimit(float(eps[0]), bool(degenerate[0]))
+    return LowerLimit(eps, degenerate)
+
+
+def _solve_limits(
+    k: int, l: np.ndarray, log_z: np.ndarray, problem: CertificateProblem, tol: float
+) -> np.ndarray:
+    """Roots for the cells (k, l[i]), k >= 1, each with a root; ``l`` is
+    sorted ascending.
+
+    Cell (k, l) needs k + l pmf terms, so the cells are cut into runs of
+    at most _BATCH_ELEMENTS terms, each as wide as its own largest l.
+    """
     log_beta = math.log(problem.beta)
     n_total = problem.n + problem.m
     # The tails B_{n+m}(eps; k+j-1), j = 0..l, are the prefix sums of the
     # pmf terms i = 0..k+l-1 from index k-1 on; k+l-1 < n+m, so none of
     # them is the full mass.
-    i = np.arange(k + l, dtype=float)
+    i = np.arange(k + int(l[-1]), dtype=float)
     log_comb = gammaln(n_total + 1.0) - gammaln(i + 1.0) - gammaln(n_total - i + 1.0)
+    starts = [0]
+    for c in range(1, len(l)):
+        if (c + 1 - starts[-1]) * (k + int(l[c])) > _BATCH_ELEMENTS:
+            starts.append(c)
+    runs = []
+    for start, stop in zip(starts, starts[1:] + [len(l)]):
+        width = int(l[stop - 1]) + 1  # tails j = 0..largest l of the run
+        runs.append((slice(start, stop), k + width - 1, log_z[:width], np.arange(width)))
 
-    def log_lhs(eps: float) -> float:
-        terms = log_comb + i * math.log(eps) + (n_total - i) * math.log1p(-eps)
-        tails = np.minimum(np.logaddexp.accumulate(terms)[k - 1 :], 0.0)
-        return log_sum_exp(log_z + tails)
+    def above_beta(eps: np.ndarray) -> np.ndarray:
+        out = np.empty(eps.shape, dtype=bool)
+        for cells, n_terms, log_z_run, j_run in runs:
+            # ln of the pmf terms, then their running log-sums, in place
+            terms = i[:n_terms] * np.log(eps[cells, None])
+            terms += log_comb[:n_terms]
+            terms += (n_total - i[:n_terms]) * np.log1p(-eps[cells, None])
+            np.logaddexp.accumulate(terms, axis=1, out=terms)
+            tails = terms[:, k - 1 :]
+            np.minimum(tails, 0.0, out=tails)
+            tails += log_z_run
+            tails[j_run > l[cells, None]] = -np.inf
+            out[cells] = log_sum_exp(tails) > log_beta
+        return out
 
-    lo, hi = bisect(lambda eps: log_lhs(eps) > log_beta, 0.0, 1.0, tol)
-    return LowerLimit(0.5 * (lo + hi), False)
+    lo, hi = bisect(above_beta, np.zeros(len(l)), 1.0, tol)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +174,22 @@ class LowerLimitTable:
 def lower_limit_table(
     problem: CertificateProblem, tol: float = DEFAULT_TOL
 ) -> LowerLimitTable:
-    """Lower limits for every cell (k, l); cells are independent."""
+    """Lower limits for every cell (k, l).
+
+    Each row k >= 1 is one array ``lower_limit`` call over l = 0..m: its
+    cells with a root share one bisection on [0, 1], in which every cell
+    follows the midpoint sequence the scalar call follows for it.  Each
+    bisection step evaluates the row in runs of consecutive cells, at
+    most _BATCH_ELEMENTS pmf terms per run, and each run is only as wide
+    as its own largest l needs.  A long row thus stays small in memory,
+    and its short cells are not padded out to the row's full width.
+    """
     shape = (problem.zeta + 1, problem.m + 1)
     eps = np.zeros(shape)
     degenerate = np.zeros(shape, dtype=bool)
+    l = np.arange(problem.m + 1)
     for k in range(1, problem.zeta + 1):
-        for l in range(problem.m + 1):
-            eps[k, l], degenerate[k, l] = lower_limit(k, l, problem, tol)
+        eps[k], degenerate[k] = lower_limit(k, l, problem, tol)
     return LowerLimitTable(problem, tol, eps, degenerate)
 
 

@@ -164,6 +164,24 @@ class TestFiles:
         assert lines[0] == "k,l,eps_lower"
         assert len(lines) == 1 + 6 * 5
 
+    def test_lower_limit_grid_warns_about_degenerate_cells(self, capsys, tmp_path):
+        out_path = tmp_path / "lower.csv"
+        code, out, err = run_cli(capsys, "lower-limit", "--n", "10", "--m", "10",
+                                 "--zeta", "3", "--beta", "0.9",
+                                 "--output", str(out_path))
+        assert code == 0
+        assert out == ""
+        assert err == ("warning: 12 of 44 cells have no root; "
+                       "their limit degenerates to 0\n")
+        assert len(out_path.read_text().strip().split("\n")) == 1 + 4 * 11
+
+    def test_lower_limit_grid_without_degenerate_cells_is_silent(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "lower-limit", "--n", "10", "--m", "10",
+                               "--zeta", "3", "--beta", "1e-6",
+                               "--output", str(tmp_path / "lower.csv"))
+        assert code == 0
+        assert err == ""
+
     def test_refine_roundtrip_through_coefficient_file(self, capsys, tmp_path):
         coeffs_path = tmp_path / "coeffs.json"
         trace_path = tmp_path / "trace.json"

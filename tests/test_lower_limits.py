@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from scencert import lower_limits
 from scencert.classic_bounds import apriori_epsilon
 from scencert.lower_limits import (
     attaining_table,
@@ -14,6 +15,7 @@ from scencert.lower_limits import (
     lower_limit_table,
     z_coefficients,
 )
+from scencert.binom_tail import log_sum_exp
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
 
 from helpers import exact_lower_lhs, exact_z
@@ -116,6 +118,83 @@ class TestLowerLimit:
                 eps = lower_limit(k, l, p).eps
                 lhs = float(exact_lower_lhs(60, 8, k, l, eps))
                 assert lhs == pytest.approx(p.beta, rel=1e-5)
+
+
+class TestLowerLimitRow:
+    # Each row k >= 1 starts with 3 to 5 cells without a root, then turns live.
+    P = CertificateProblem(10, 10, 3, 0.9)
+
+    @staticmethod
+    def scalar_calls(k, ls, p):
+        values = [lower_limit(k, int(l), p) for l in ls]
+        return (np.array([v.eps for v in values]),
+                np.array([v.degenerate for v in values]))
+
+    def test_row_equals_scalar_calls(self):
+        p = self.P
+        ls = np.arange(p.m + 1)
+        for k in range(p.zeta + 1):
+            eps, degenerate = lower_limit(k, ls, p)
+            want_eps, want_degenerate = self.scalar_calls(k, ls, p)
+            assert np.array_equal(eps, want_eps)
+            assert np.array_equal(degenerate, want_degenerate)
+            if k >= 1:
+                assert 3 <= degenerate.sum() <= 5 and not degenerate[-1]
+        assert np.all(lower_limit(0, ls, p).eps == 0.0)
+
+    def test_unsorted_cells(self):
+        p = self.P
+        ls = np.array([7, 0, 10, 3, 3, 5, 1])
+        for k in (1, 3):
+            eps, degenerate = lower_limit(k, ls, p)
+            want_eps, want_degenerate = self.scalar_calls(k, ls, p)
+            assert np.array_equal(eps, want_eps)
+            assert np.array_equal(degenerate, want_degenerate)
+
+    def test_scalar_call_returns_float_and_bool(self):
+        for k, l in [(0, 2), (1, 0), (2, 6)]:
+            value = lower_limit(k, l, self.P)
+            assert type(value.eps) is float
+            assert type(value.degenerate) is bool
+
+    def test_rejects_cells_out_of_range(self):
+        with pytest.raises(ValueError):
+            lower_limit(1, np.array([0, 11]), self.P)
+        with pytest.raises(ValueError):
+            lower_limit(1, np.array([-1, 2]), self.P)
+
+    def test_sliced_rows_equal_unsliced(self, monkeypatch):
+        p = CertificateProblem(30, 12, 4, 1e-3)
+        whole = lower_limit_table(p, TOL)
+        batch = 40
+        monkeypatch.setattr(lower_limits, "_BATCH_ELEMENTS", batch)
+        shapes = []
+
+        def spy(log_terms):
+            shapes.append(np.shape(log_terms))
+            return log_sum_exp(log_terms)
+
+        monkeypatch.setattr(lower_limits, "log_sum_exp", spy)
+        sliced = lower_limit_table(p, TOL)
+        assert np.array_equal(sliced.eps_lower, whole.eps_lower)
+        assert np.array_equal(sliced.degenerate, whole.degenerate)
+        # Each bisection step walks row k's live cells in runs, in order of
+        # l: a run of cells l[a..b] holds the tails j = 0..l[b], so k + l[b]
+        # pmf terms per cell, and no more terms than the batch allows.
+        for k in range(1, p.zeta + 1):
+            shapes.clear()
+            live = np.flatnonzero(~lower_limit(k, np.arange(p.m + 1), p).degenerate)
+            first, step_ends = 0, []
+            for cells, width in shapes:
+                last = live[first + cells - 1]
+                assert width == last + 1
+                assert cells * (k + last) <= batch or cells == 1
+                first += cells
+                if first == live.size:
+                    step_ends.append(len(shapes))
+                    first = 0
+            assert first == 0
+            assert step_ends[0] > 1  # the row splits into several runs
 
 
 class TestLowerLimitTable:

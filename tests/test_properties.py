@@ -1,14 +1,15 @@
 """Property tests on small random problems: the row-batched grid against
-single-cell roots, grid monotonicity, dominance over the lower limits,
-the wait-and-judge column as the grid's ceiling, monotone refinement, and
-the batched incremental sequence against per-arrival solves."""
+single-cell roots, lower-limit rows against single-cell limits, grid
+monotonicity, dominance over the lower limits, the wait-and-judge column
+as the grid's ceiling, monotone refinement, and the batched incremental
+sequence against per-arrival solves."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scencert.classic_bounds import clopper_pearson
-from scencert.lower_limits import lower_limit_table
+from scencert.lower_limits import lower_limit, lower_limit_table
 from scencert.posterior_bounds import (
     CertificateProblem,
     CoefficientVector,
@@ -67,6 +68,17 @@ def test_grid_dominates_lower_limits(p):
     eps = bound_table(p, CoefficientVector.uniform(p), TOL).eps
     limits = lower_limit_table(p, TOL).eps_lower
     assert (eps - limits).min() >= -2 * TOL
+
+
+@property_settings
+@given(problems())
+def test_lower_limit_rows_equal_single_cell_limits(p):
+    table = lower_limit_table(p, TOL)
+    for k in range(p.zeta + 1):
+        for l in range(p.m + 1):
+            eps, degenerate = lower_limit(k, l, p, TOL)
+            assert table.eps_lower[k, l] == eps
+            assert table.degenerate[k, l] == degenerate
 
 
 @property_settings
