@@ -1,8 +1,8 @@
-"""Validation of the ``--threads`` cap taken by the table, refinement and
-Monte Carlo drivers.  All work runs in the calling thread: the cells and
-runs are pure Python that holds the interpreter lock, so a pool only added
-overhead.  The cap is still checked so that bad values are rejected, and
-results never depend on it."""
+"""Validation of the ``--threads`` flag of the ``table``, ``refine`` and
+``simulate`` subcommands.  The flag is a no-op: all work runs in the
+calling thread, because the cells and runs are pure Python that holds the
+interpreter lock, so a pool only added overhead.  The CLI still checks a
+given value once, so that bad values are rejected."""
 
 from __future__ import annotations
 

@@ -42,34 +42,26 @@ def check_tol(tol: float, name: str = "tol") -> None:
 
 
 def bisect(below_root: Callable, lo, hi, tol: float):
-    """Final bracket of a deterministic-midpoint bisection on [lo, hi].
+    """Final brackets (lo, hi), as float arrays, of an elementwise bisection.
 
-    ``below_root(x)`` must be true below the root and false above it.
-    Halving stops once the bracket is narrower than ``tol`` or after
-    MAX_BISECT_ITER midpoints, whichever comes first; the cap keeps a
-    tolerance below the double spacing at the root from spinning forever.
-
-    ``lo`` and ``hi`` may also be arrays of brackets; ``below_root`` then
-    gets the array of midpoints and answers elementwise, and each element
-    follows the midpoint sequence it would follow alone.  Scalar brackets
-    stay plain floats throughout.
+    ``lo`` and ``hi`` are arrays of brackets that broadcast together;
+    ``below_root`` gets the array of midpoints and answers true below the
+    root and false above it, elementwise.  An end only moves to a midpoint
+    judged on its own side, so each caller reports the end it can certify.
+    Each element follows the midpoint sequence it would follow alone, and
+    halving stops once every bracket is narrower than ``tol`` or after
+    MAX_BISECT_ITER midpoints; the cap keeps a tolerance below the double
+    spacing at a root from spinning forever.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    if scalar:
-        lo, hi = float(lo), float(hi)
-    else:
-        lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
+    lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
     for _ in range(MAX_BISECT_ITER):
         open_ = hi - lo >= tol
-        if not (open_ if scalar else open_.any()):
+        if not open_.any():
             break
         mid = 0.5 * (lo + hi)
         below = below_root(mid)
-        if scalar:
-            lo, hi = (mid, hi) if below else (lo, mid)
-        else:
-            lo = np.where(open_ & below, mid, lo)
-            hi = np.where(open_ & ~below, mid, hi)
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
     return lo, hi
 
 
@@ -96,34 +88,38 @@ def chernoff_bound(m: int, r: int, beta: float) -> ChernoffBound:
     return ChernoffBound(value, value > 1.0)
 
 
-def _binom_tail_root(n, m, beta: float, tol: float):
-    """Unique x in (0, 1) with B_n(x; m) = beta, for 0 <= m < n.
+def _binom_tail_root(n, m, beta: float, tol: float) -> np.ndarray:
+    """Upper end of a bracket narrower than ``tol`` around the unique x in
+    (0, 1) with B_n(x; m) = beta, for 0 <= m < n.
 
-    The tail is strictly decreasing from 1 at x = 0 to 0 at x = 1, so a
-    deterministic-midpoint bisection converges unconditionally; the
-    comparison runs in log space because beta is typically ~1e-6.
-    ``n`` and ``m`` may be arrays, which are solved in one bisection.
+    The tail is strictly decreasing from 1 at x = 0 to 0 at x = 1, so
+    bisection converges unconditionally, and B_n(x; m) <= beta at the
+    returned end; the comparison runs in log space because beta is
+    typically ~1e-6.  ``n`` and ``m`` may be arrays, which are solved in
+    one bisection; the result has their broadcast shape.
     """
     check_tol(tol)
     log_beta = math.log(beta)
     n, m = np.broadcast_arrays(n, m)
-    lo, hi = bisect(
+    _, hi = bisect(
         lambda x: log_binom_tails(n, m, np.log(x), np.log1p(-x)) > log_beta,
         np.zeros(m.shape),
         1.0,
         tol,
     )
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def clopper_pearson(m, l, beta: float, tol: float = DEFAULT_TOL):
     """Exact one-sided upper confidence bound for a binomial proportion.
 
-    For l < m this is the root of B_m(x; l) = beta; at l == m the bound
-    is vacuous and equals one exactly.  ``m`` and ``l`` may also be
-    arrays that broadcast together: their bounds come from one array
-    bisection and equal the scalar calls elementwise.  Scalar inputs
-    return a float.
+    For l < m this is the upper end of a bracket narrower than ``tol``
+    around the root of B_m(x; l) = beta, so B_m(x; l) <= beta at the
+    reported x and the bound never falls below the exact one; at l == m
+    the bound is vacuous and equals one exactly.  ``m`` and ``l`` may
+    also be arrays that broadcast together: their bounds come from one
+    array bisection and equal the scalar calls elementwise.  Scalar
+    inputs return a float.
     """
     if np.any(np.less(m, 1)):
         raise ValueError(f"require m >= 1 validation samples, got m={m}")
@@ -131,19 +127,20 @@ def clopper_pearson(m, l, beta: float, tol: float = DEFAULT_TOL):
         raise ValueError(f"require 0 <= l <= m, got l={l}, m={m}")
     check_confidence(beta)
     if np.ndim(m) == 0 and np.ndim(l) == 0:
-        return 1.0 if l == m else _binom_tail_root(m, l, beta, tol)
+        return 1.0 if l == m else float(_binom_tail_root(m, l, beta, tol))
     return np.where(np.equal(l, m), 1.0, _binom_tail_root(m, l, beta, tol))
 
 
 def apriori_epsilon(n: int, zeta: int, beta: float, tol: float = DEFAULT_TOL) -> float:
     """Prior violation level from the sample size alone.
 
-    Returns the root of B_n(x; zeta - 1) = beta in (0, 1).  Requires
-    zeta < n; at zeta >= n the bound is vacuous.
+    Returns the upper end of a bracket narrower than ``tol`` around the
+    root of B_n(x; zeta - 1) = beta in (0, 1).  Requires zeta < n; at
+    zeta >= n the bound is vacuous.
     """
     if n < 1:
         raise ValueError(f"require n >= 1, got n={n}")
     if not 1 <= zeta < n:
         raise ValueError(f"require 1 <= zeta < n, got zeta={zeta}, n={n}")
     check_confidence(beta)
-    return _binom_tail_root(n, zeta - 1, beta, tol)
+    return float(_binom_tail_root(n, zeta - 1, beta, tol))

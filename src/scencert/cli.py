@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import serialize
+from ._parallel import resolve_threads
 from .classic_bounds import (
     DEFAULT_TOL,
     apriori_epsilon,
@@ -90,7 +91,7 @@ def _cmd_bound(args) -> int:
 def _cmd_table(args) -> int:
     problem = CertificateProblem(args.n, args.m, args.zeta, args.beta)
     coeffs = _load_coefficients(problem, args.coeffs)
-    table = bound_table(problem, coeffs, args.tol, args.threads)
+    table = bound_table(problem, coeffs, args.tol)
     text = table.to_csv() if args.format == "csv" else table.to_json()
     serialize.write_output(args.output, text)
     return EXIT_OK
@@ -129,7 +130,6 @@ def _cmd_refine(args) -> int:
         tol_converge=args.tol_converge,
         max_iter=args.max_iter,
         tau=args.tau,
-        threads=args.threads,
     )
     if args.output is not None:
         serialize.write_output(args.output, trace.to_json())
@@ -154,7 +154,6 @@ def _cmd_simulate(args) -> int:
         coeffs=_load_coefficients(cert, args.coeffs),
         master_seed=args.seed,
         tol=args.tol,
-        threads=args.threads,
     )
     if args.output is not None:
         text = (
@@ -216,7 +215,8 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
                             help="'uniform' or a JSON coefficient file")
     if "threads" in names:
         parser.add_argument("--threads", type=int, default=None,
-                            help="thread cap, at least 1; work runs in one thread")
+                            help="no-op kept for compatibility (all work runs in "
+                                 "one thread); must be at least 1")
     if "kind" in names:
         parser.add_argument("--kind", choices=sorted(_KIND_BY_FLAG),
                             required=True, help="toy scenario program")
@@ -300,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "_records_format", False) and args.format == "json":
         args.format = "jsonl"  # record streams are line-oriented
     try:
+        if getattr(args, "threads", None) is not None:
+            resolve_threads(args.threads)
         return args.func(args)
     except (ValueError, RefinementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

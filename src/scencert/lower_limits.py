@@ -80,7 +80,10 @@ def lower_limit(
     k = 0 pins the limit at zero.  For k >= 1 the defining equation has a
     root exactly when the total weight sum_{j<=l} z_j exceeds beta; in
     the boundary regime where it does not, the limit degrades gracefully
-    to 0 with the ``degenerate`` flag set instead of raising.
+    to 0 with the ``degenerate`` flag set instead of raising.  A root is
+    reported as the lower end of a bracket narrower than ``tol``, where
+    the mixture is still above beta, so the reported limit never exceeds
+    the exact one.
 
     ``l`` may also be a 1-d array of cells with the one support count k.
     The cells with a root are then solved in one array bisection on
@@ -147,8 +150,8 @@ def _solve_limits(
             out[cells] = log_sum_exp(tails) > log_beta
         return out
 
-    lo, hi = bisect(above_beta, np.zeros(len(l)), 1.0, tol)
-    return 0.5 * (lo + hi)
+    lo, _ = bisect(above_beta, np.zeros(len(l)), 1.0, tol)
+    return lo
 
 
 @dataclass(frozen=True, eq=False)

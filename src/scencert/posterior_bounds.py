@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from ._parallel import resolve_threads
 from .binom_tail import log_binom_tails, log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
@@ -204,9 +203,9 @@ def certificate_sign(
 
 def _row_roots(ev: _SignEvaluator, k: int, l: np.ndarray, tol: float) -> np.ndarray:
     # One cold bisection on [0, 1] for the cells (k, l[i]) together; the
-    # midpoint of each final bracket lies within tol/2 of its root.
-    lower, upper = bisect(lambda t: ev.margin(t, k, l) >= 0.0, np.zeros(len(l)), 1.0, tol)
-    return 0.5 * (lower + upper)
+    # margin is >= 0 at each lower end, so eps = 1 - lower is safe.
+    lower, _ = bisect(lambda t: ev.margin(t, k, l) >= 0.0, np.zeros(len(l)), 1.0, tol)
+    return lower
 
 
 def solve_root(
@@ -217,11 +216,13 @@ def solve_root(
     tol: float = DEFAULT_TOL,
     m=None,
 ):
-    """Root t(k, l) in (0, 1): the one-cell case of a grid-row solve.
+    """Root t(k, l) in [0, 1): the one-cell case of a grid-row solve.
 
     Bisection starts from the whole interval [0, 1], keeps the sign
     positive at the lower end and negative at the upper end, and returns
-    the midpoint of the first bracket narrower than ``tol``.
+    the lower end of the first bracket narrower than ``tol``: the reported
+    t is at most the true root, so eps = 1 - t never understates the
+    certificate.  A root below ``tol`` is reported as 0.
 
     ``l`` may also be an array of cells with the one support count k,
     solved in one array bisection in which each cell follows the
@@ -265,18 +266,15 @@ def bound_table(
     problem: CertificateProblem,
     coeffs: CoefficientVector,
     tol: float = DEFAULT_TOL,
-    threads: int | None = None,
 ) -> BoundTable:
     """Full (zeta+1) x (m+1) certificate grid.
 
     Each row k is solved by one cold bisection on [0, 1] over all of its
     cells at once; every cell follows the midpoint sequence ``solve_root``
-    follows for it alone.  ``threads`` is validated but all rows are
-    solved in the calling thread, so the result never depends on it.
+    follows for it alone and reports the same lower bracket end.
     """
     coeffs.validate_for(problem)
     check_tol(tol)
-    resolve_threads(threads)
     ev = _SignEvaluator(problem, coeffs)
     l = np.arange(problem.m + 1)
     t = np.array([_row_roots(ev, k, l, tol) for k in range(problem.zeta + 1)])
@@ -287,7 +285,6 @@ def wait_and_judge(
     problem: CertificateProblem,
     coeffs: CoefficientVector,
     tol: float = DEFAULT_TOL,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Certificates eps(k) from support counts alone (no validation data).
 
@@ -295,4 +292,4 @@ def wait_and_judge(
     by k.
     """
     zero_m = replace(problem, m=0)
-    return bound_table(zero_m, coeffs, tol, threads).eps[:, 0].copy()
+    return bound_table(zero_m, coeffs, tol).eps[:, 0].copy()

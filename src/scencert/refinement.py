@@ -61,15 +61,6 @@ class RefinementError(RuntimeError):
         self.l = l
 
 
-def _backed_off(t: float, tol: float) -> float:
-    # A bisection midpoint sits within tol/2 of the true root; stepping
-    # down by exactly that much cancels the worst overshoot, so the
-    # incumbent weights stay feasible for the LP rows while the
-    # monotonicity guarantee stays within the advertised 2 tol.
-    backed = t - 0.5 * tol
-    return backed if backed > 0.0 else t
-
-
 def dominance_check(
     candidate: CoefficientVector,
     table: BoundTable,
@@ -92,13 +83,17 @@ def dominance_check(
         raise ValueError("table was built for a different problem")
     candidate.validate_for(problem)
     ev = _SignEvaluator(problem, candidate)
+    # A root stored as 0 (below the root tolerance) cannot move down; its
+    # cell holds, and it is evaluated at a placeholder inside (0, 1).
+    zero = table.t <= 0.0
+    t = np.where(zero, 0.5, table.t)
     if log_slack is None:
-        allowed = 4.0 * (problem.n + problem.m) * table.tol / table.t + 1e-10
+        allowed = 4.0 * (problem.n + problem.m) * table.tol / t + 1e-10
     else:
-        allowed = np.full(table.t.shape, log_slack)
+        allowed = np.full(t.shape, log_slack)
     l = np.arange(problem.m + 1)
-    cells = np.array([
-        ev.margin(table.t[k], k, l) >= -allowed[k] for k in range(problem.zeta + 1)
+    cells = zero | np.array([
+        ev.margin(t[k], k, l) >= -allowed[k] for k in range(problem.zeta + 1)
     ])
     return cells, bool(cells.all())
 
@@ -113,13 +108,9 @@ def build_refinement_lp(
     One inequality row per grid cell, one row keeping mass >= tau on
     indices zeta..n-1, one equality normalizing the total mass, plus
     nonnegativity.  Every inequality row is scaled by its largest
-    coefficient so the tableau starts with unit row norms.
-
-    Rows are evaluated half a root tolerance below the stored roots: the
-    stored values can overshoot the true roots by up to tol/2, and at the
-    Pareto boundary no weight vector satisfies rows taken above the true
-    roots, so evaluating at the certified lower bracket is what keeps the
-    incumbent vector feasible and the iteration monotone (up to 2 tol).
+    coefficient so the tableau starts with unit row norms.  A cell whose
+    stored root is 0 (a root below the root tolerance) has no row and
+    raises ``RefinementError``.
     """
     if problem != table.problem:
         raise ValueError("table was built for a different problem")
@@ -151,7 +142,9 @@ def build_refinement_lp(
         log_comb_jk = lg[jk + 1] - lg[k + 1] - lg[jk - k + 1]
         log_comb_nk = lg[n + 1] - lg[k + 1] - lg[n - k + 1]
         for l in range(m_val + 1):
-            t = _backed_off(float(table.t[k, l]), table.tol)
+            t = float(table.t[k, l])
+            if t <= 0.0:
+                raise RefinementError(k, l, f"root below the root tolerance {table.tol!r}")
             log_t = math.log(t)
             log_coeffs = log_comb_jk + (jk - n) * log_t
             coeffs_row = np.exp(log_coeffs)
@@ -221,7 +214,6 @@ def refine(
     tol_converge: float = DEFAULT_TOL_CONVERGE,
     max_iter: int = DEFAULT_MAX_ITER,
     tau: float = DEFAULT_TAU,
-    threads: int | None = None,
 ) -> RefinementTrace:
     """Alternate root computation and weight re-optimization until the
     largest cellwise root increase falls below ``tol_converge``.
@@ -241,7 +233,7 @@ def refine(
         )
     initial.validate_for(problem)
     coeffs = initial
-    table = bound_table(problem, coeffs, tol_root, threads)
+    table = bound_table(problem, coeffs, tol_root)
     iterations = [RefinementIteration(0, coeffs, table, None)]
     termination = "max_iter"
     for step in range(1, max_iter + 1):
@@ -254,7 +246,7 @@ def refine(
         values = np.clip(solution.x, 0.0, None)
         values /= values.sum()
         coeffs = CoefficientVector(values, problem, scheme="refined")
-        new_table = bound_table(problem, coeffs, tol_root, threads)
+        new_table = bound_table(problem, coeffs, tol_root)
         increase = float(np.max(new_table.t - table.t))
         iterations.append(RefinementIteration(step, coeffs, new_table, increase))
         table = new_table

@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._parallel import resolve_threads
 from .classic_bounds import DEFAULT_TOL, chernoff_bound, clopper_pearson
 from .posterior_bounds import (
     CertificateProblem,
@@ -234,7 +233,6 @@ def run_monte_carlo(
     coeffs: CoefficientVector | None = None,
     master_seed: int = 0,
     tol: float = DEFAULT_TOL,
-    threads: int | None = None,
 ) -> tuple[GapStatistics, list[TrialRecord]]:
     """Monte Carlo audit of all certificates on a toy problem.
 
@@ -242,17 +240,15 @@ def run_monte_carlo(
     solves the scenario program on the first n, counts validation
     violations on the rest, and looks its certificates up in tables
     computed once and shared across runs.  Identical ``master_seed``
-    gives a bit-identical record stream; ``threads`` is validated but
-    every run executes in the calling thread.
+    gives a bit-identical record stream.
     """
     if runs < 1:
         raise ValueError(f"require runs >= 1, got {runs}")
-    resolve_threads(threads)
     cert = CertificateProblem(n, m, problem.zeta, beta)
     if coeffs is None:
         coeffs = CoefficientVector.uniform(cert)
-    table = bound_table(cert, coeffs, tol, threads)
-    judged = wait_and_judge(cert, coeffs, tol, threads)
+    table = bound_table(cert, coeffs, tol)
+    judged = wait_and_judge(cert, coeffs, tol)
     if m > 0:
         eta_by_l = clopper_pearson(m, np.arange(m + 1), beta, tol)
         chern_by_l = np.array([chernoff_bound(m, l, beta).value for l in range(m + 1)])

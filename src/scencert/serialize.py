@@ -108,8 +108,9 @@ def coefficients_json(values) -> str:
 
 def parse_coefficients(text: str) -> list[float]:
     data = json.loads(text)
+    # bool is a subclass of int, but true/false are not coefficients.
     if not isinstance(data, list) or not all(
-        isinstance(v, (int, float)) for v in data
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
     ):
         raise ValueError("coefficient file must hold a JSON array of numbers")
     return [float(v) for v in data]

@@ -283,6 +283,6 @@ def test_criterion_9_simulation_determinism(tmp_path, capsys):
         assert outputs[0] == outputs[1] == outputs[2]
         # library-level record stream is bit-identical too
         toy = sc.ToyScenarioProblem("bounding_box", 3)
-        _, rec_a = sc.run_monte_carlo(toy, 40, 25, 1e-6, 60, master_seed=7, threads=1)
-        _, rec_b = sc.run_monte_carlo(toy, 40, 25, 1e-6, 60, master_seed=7, threads=5)
+        _, rec_a = sc.run_monte_carlo(toy, 40, 25, 1e-6, 60, master_seed=7)
+        _, rec_b = sc.run_monte_carlo(toy, 40, 25, 1e-6, 60, master_seed=7)
         assert records_csv(rec_a) == records_csv(rec_b)

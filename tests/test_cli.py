@@ -93,6 +93,9 @@ class TestExitCodes:
           "--tau", "nan"), "tau"),
         (("refine", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
           "--tau", "inf"), "tau"),
+        (("simulate", "--kind", "bounding-box", "--d", "2", "--n", "30", "--m", "15",
+          "--beta", "1e-6", "--runs", "60", "--seed", "9", "--threads", "0"),
+         "thread count"),
     ])
     def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
                                             args, message):
@@ -100,6 +103,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *args)
         assert code == 3
         assert message in err
+
+    def test_refine_with_a_root_below_tol_names_the_cell(self, capsys):
+        # The root at (k=2, l=0) lies below tol, so its grid t is 0 and the
+        # LP row at that cell would need ln 0.
+        code, _, err = run_cli(capsys, "refine", "--n", "3", "--m", "0",
+                               "--zeta", "2", "--beta", "1e-14")
+        assert code == 3
+        assert "(k=2, l=0)" in err
+
+    def test_boolean_coefficients_are_rejected(self, capsys, tmp_path):
+        coeffs_path = tmp_path / "coeffs.json"
+        coeffs_path.write_text("[false, false, true, false]")
+        code, _, err = run_cli(capsys, "bound", "--n", "3", "--m", "0",
+                               "--zeta", "2", "--beta", "1e-6", "--k", "1",
+                               "--l", "0", "--coeffs", str(coeffs_path))
+        assert code == 3
+        assert "array of numbers" in err
 
     def test_lp_failure_maps_to_exit_four(self, capsys, monkeypatch):
         import scencert.cli as cli_module
@@ -147,6 +167,15 @@ class TestFiles:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "k,l,t,eps"
         assert len(lines) == 1 + 11 * 31
+
+    def test_table_grid_file_across_thread_counts(self, capsys, tmp_path):
+        paths = [tmp_path / "one.csv", tmp_path / "four.csv"]
+        for path, threads in zip(paths, ("1", "4")):
+            code, _, _ = run_cli(capsys, "table", "--n", "35", "--m", "12",
+                                 "--zeta", "6", "--beta", "1e-6", "--threads",
+                                 threads, "--output", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_table_requires_output(self):
         with pytest.raises(SystemExit) as info:

@@ -191,17 +191,6 @@ class TestBoundTable:
         assert table.eps.min() > 0.0
         assert table.eps.max() < 1.0
 
-    def test_thread_count_does_not_change_result(self):
-        p, a = uniform_problem(35, 12, 6)
-        serial = bound_table(p, a, TOL, threads=1)
-        pooled = bound_table(p, a, TOL, threads=4)
-        assert np.array_equal(serial.t, pooled.t)
-
-    def test_thread_count_below_one_is_rejected(self):
-        p, a = uniform_problem(35, 12, 6)
-        with pytest.raises(ValueError, match="thread count"):
-            bound_table(p, a, TOL, threads=0)
-
     def test_wait_and_judge_matches_any_m_last_column(self):
         p, a = uniform_problem(40, 5, 6)
         table = bound_table(p, a, TOL)

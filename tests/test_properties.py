@@ -1,19 +1,26 @@
 """Property tests on small random problems: the row-batched grid against
-single-cell roots, lower-limit rows against single-cell limits, grid
-monotonicity, dominance over the lower limits, the wait-and-judge column
-as the grid's ceiling, monotone refinement, and the batched incremental
-sequence against per-arrival solves."""
+single-cell roots, lower-limit rows against single-cell limits, every
+reported root on the safe side of its equation, grid monotonicity,
+dominance over the lower limits, the wait-and-judge column as the grid's
+ceiling, monotone refinement, and the batched incremental sequence
+against per-arrival solves."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import exact_lower_lhs
+from scencert.binom_tail import log_binom_tails
 from scencert.classic_bounds import clopper_pearson
 from scencert.lower_limits import lower_limit, lower_limit_table
 from scencert.posterior_bounds import (
     CertificateProblem,
     CoefficientVector,
     bound_table,
+    certificate_sign,
     solve_root,
     wait_and_judge,
 )
@@ -52,6 +59,36 @@ def test_grid_cells_equal_single_cell_roots(p):
     for k in range(p.zeta + 1):
         for l in range(p.m + 1):
             assert abs(table.t[k, l] - solve_root(k, l, p, a, TOL)) <= 2 * TOL
+
+
+@property_settings
+@given(problems())
+def test_grid_margin_is_nonnegative_at_reported_roots(p):
+    # The reported t is at most the true root, so eps = 1 - t is safe.
+    a = CoefficientVector.uniform(p)
+    t = bound_table(p, a, TOL).t
+    for (k, l), root in np.ndenumerate(t):
+        if root > 0.0:
+            assert certificate_sign(root, k, l, p, a) >= 0, (k, l)
+
+
+@property_settings
+@given(st.integers(1, 200), st.floats(-8.0, -1.0))
+def test_clopper_pearson_tail_is_at_most_beta(m, log10_beta):
+    beta = 10.0**log10_beta
+    l = np.arange(m)
+    x = clopper_pearson(m, l, beta, TOL)
+    assert np.all(log_binom_tails(m, l, np.log(x), np.log1p(-x)) <= math.log(beta))
+
+
+@property_settings
+@given(problems())
+def test_lower_limit_mixture_is_at_least_beta(p):
+    # In exact arithmetic: the reported limit is at most the true one.
+    table = lower_limit_table(p, TOL)
+    for (k, l), eps in np.ndenumerate(table.eps_lower):
+        if k >= 1 and not table.degenerate[k, l]:
+            assert exact_lower_lhs(p.n, p.m, k, l, eps) >= Fraction(p.beta), (k, l)
 
 
 @property_settings

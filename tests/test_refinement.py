@@ -80,6 +80,16 @@ class TestDominance:
         _, aggregate = dominance_check(trace.final.coefficients, initial, p)
         assert aggregate
 
+    def test_root_stored_as_zero_holds(self):
+        # At (k=2, l=0) the root lies below tol, so the table stores t = 0.
+        p = CertificateProblem(3, 0, 2, 1e-14)
+        a = CoefficientVector.uniform(p)
+        table = bound_table(p, a, TOL)
+        assert table.t[2, 0] == 0.0
+        cells, aggregate = dominance_check(a, table, p)
+        assert aggregate
+        assert cells.all()
+
     def test_problem_mismatch_rejected(self):
         p, a = fig_config()
         table = bound_table(p, a, TOL)

@@ -120,17 +120,13 @@ class TestSupportExactness:
 
 
 class TestMonteCarlo:
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible_per_master_seed(self):
         toy = box(2)
-        _, records_a = run_monte_carlo(toy, 30, 15, 1e-6, 60, master_seed=9, threads=1)
-        _, records_b = run_monte_carlo(toy, 30, 15, 1e-6, 60, master_seed=9, threads=4)
+        _, records_a = run_monte_carlo(toy, 30, 15, 1e-6, 60, master_seed=9)
+        _, records_b = run_monte_carlo(toy, 30, 15, 1e-6, 60, master_seed=9)
         assert records_a == records_b
         _, records_c = run_monte_carlo(toy, 30, 15, 1e-6, 60, master_seed=10)
         assert records_a != records_c
-
-    def test_thread_count_below_one_is_rejected(self):
-        with pytest.raises(ValueError, match="thread count"):
-            run_monte_carlo(box(2), 30, 15, 1e-6, 60, master_seed=9, threads=0)
 
     def test_guarantee_audit_zero_breaches(self):
         # beta * runs = 3e-4 <= 0.01, so zero breaches are expected
