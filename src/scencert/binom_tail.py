@@ -120,28 +120,27 @@ def _log_tails_by_sum(m, l, log_x, log_1mx):
     return tails[np.arange(l.size), l]
 
 
-def log_binom_cdf(n: int, m: int, t: float) -> float:
-    """ln B_n(t; m): the scalar case of ``log_binom_tails``.
+def log_binom_cdf(n, m, t):
+    """ln B_n(t; m), elementwise over arrays that broadcast together.
 
-    ``m < 0`` returns ``-inf`` (empty sum by convention), ``m == n``
-    returns 0 exactly (the full mass), and the endpoints t = 0 and t = 1
-    short-circuit so that ln 0 is never formed.
+    ``m < 0`` gives ``-inf`` (empty sum by convention), ``m == n`` gives 0
+    exactly (the full mass), and the endpoints t = 0 and t = 1 give 0 and
+    ``-inf`` without forming ln 0; these cases are applied per element,
+    and every other element goes through ``log_binom_tails``.  Scalar
+    inputs return a float.
     """
-    if n < 1:
+    n, m, t = np.broadcast_arrays(n, m, np.asarray(t, dtype=float))
+    if (n < 1).any():
         raise ValueError(f"require n >= 1, got n={n}")
-    if m > n:
+    if (m > n).any():
         raise ValueError(f"require m <= n, got n={n}, m={m}")
-    if not 0.0 <= t <= 1.0:
+    if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValueError(f"require t in [0, 1], got t={t}")
-    if m < 0:
-        return -math.inf
-    if m == n:
-        return 0.0
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return -math.inf
-    return float(log_binom_tails(n, m, math.log(t), math.log1p(-t)))
+    out = np.where((m >= 0) & ((m == n) | (t == 0.0)), 0.0, -math.inf)
+    inner = (m >= 0) & (m < n) & (t > 0.0) & (t < 1.0)
+    ti = t[inner]
+    out[inner] = log_binom_tails(n[inner], m[inner], np.log(ti), np.log1p(-ti))
+    return float(out) if out.ndim == 0 else out
 
 
 def binom_cdf(n: int, m: int, t: float) -> float:

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binom_tail import log_binom_tails
+from .binom_tail import log_binom_cdf
 
 __all__ = [
     "DEFAULT_TOL",
@@ -102,7 +102,7 @@ def _binom_tail_root(n, m, beta: float, tol: float) -> np.ndarray:
     log_beta = math.log(beta)
     n, m = np.broadcast_arrays(n, m)
     _, hi = bisect(
-        lambda x: log_binom_tails(n, m, np.log(x), np.log1p(-x)) > log_beta,
+        lambda x: np.greater(log_binom_cdf(n, m, x), log_beta),
         np.zeros(m.shape),
         1.0,
         tol,

@@ -102,6 +102,9 @@ def _cmd_lower_limit(args) -> int:
     if (args.k is None) != (args.l is None):
         raise ValueError("--k and --l must be given together")
     if args.k is not None:
+        if args.output is not None:
+            raise ValueError("--output writes the whole grid; drop it for a "
+                             "--k/--l point query")
         value = lower_limit(args.k, args.l, problem, args.tol)
         print(serialize.fmt(value.eps))
         if value.degenerate:

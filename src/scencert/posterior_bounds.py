@@ -136,14 +136,14 @@ class _SignEvaluator:
         lg = gammaln(np.arange(n + 2, dtype=float))  # lg[x] = ln(x-1)!
         js = np.arange(n + 1)
         self._log_comb_n_k = np.empty(zeta + 1)
-        self._base: list[np.ndarray] = []
+        self._log_comb: list[np.ndarray] = []  # ln C(j, k), j = k..n
+        self._base: list[np.ndarray] = []  # ln(a_j C(j, k))
         self._powers: list[np.ndarray] = []
         for k in range(zeta + 1):
             jk = js[k:]
             self._log_comb_n_k[k] = lg[n + 1] - lg[k + 1] - lg[n - k + 1]
-            self._base.append(
-                coeffs.log_values[k:] + lg[jk + 1] - lg[k + 1] - lg[jk - k + 1]
-            )
+            self._log_comb.append(lg[jk + 1] - lg[k + 1] - lg[jk - k + 1])
+            self._base.append(coeffs.log_values[k:] + self._log_comb[k])
             self._powers.append((jk - k).astype(float))
 
     def margin(self, t: np.ndarray, k: int, l: np.ndarray) -> np.ndarray:
@@ -163,11 +163,22 @@ class _SignEvaluator:
     def _margin(self, t: np.ndarray, k: int, l: np.ndarray, m) -> np.ndarray:
         log_t = np.log(t)
         lhs = self.log_beta + log_sum_exp(self._base[k] + self._powers[k] * log_t[:, None])
-        # B_m(1-t; l) from ln(1-t) and ln t; l == m is exactly 1, which
-        # covers m == 0.
+        return lhs - self._tail_side(t, log_t, k, l, m)
+
+    def _tail_side(self, t, log_t, k: int, l, m) -> np.ndarray:
+        # ln(C(n, k) t^(n-k) B_m(1-t; l)); l == m gives B = 1, covering m == 0.
         log_tail = log_binom_tails(m, l, np.log1p(-t), log_t)
-        rhs = self._log_comb_n_k[k] + (self.n - k) * log_t + log_tail
-        return lhs - rhs
+        return self._log_comb_n_k[k] + (self.n - k) * log_t + log_tail
+
+    def log_sides(self, t, k: int, l) -> tuple[np.ndarray, np.ndarray]:
+        """Unweighted log terms and log tail side at cells (k, l[i]), roots
+        t[i] in (0, 1): terms[i, j-k] = ln(beta C(j, k) t[i]^(j-k)) for
+        j = k..n and tail[i] = ln(C(n, k) t[i]^(n-k) B_m(1-t[i]; l[i])), so
+        the equation reads sum_j a_j exp(terms[i, j-k]) = exp(tail[i])."""
+        t, l = np.asarray(t, dtype=float), np.asarray(l)
+        log_t = np.log(t)
+        terms = self.log_beta + self._log_comb[k] + self._powers[k] * log_t[:, None]
+        return terms, self._tail_side(t, log_t, k, l, self.m)
 
 
 def _check_support(problem: CertificateProblem, k: int) -> None:

@@ -11,14 +11,11 @@ toward the Pareto boundary of the family.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .binom_tail import log_binom_cdf
 from .classic_bounds import DEFAULT_TOL, check_tol
 from .posterior_bounds import (
     BoundTable,
@@ -98,6 +95,12 @@ def dominance_check(
     return cells, bool(cells.all())
 
 
+def _check_tau(tau: float) -> None:
+    check_tol(tau, "tau")
+    if tau > 1.0:
+        raise ValueError(f"require tau <= 1, the total mass, got {tau}")
+
+
 def build_refinement_lp(
     table: BoundTable,
     problem: CertificateProblem,
@@ -105,16 +108,20 @@ def build_refinement_lp(
 ) -> LinearProgram:
     """The weight-improvement LP at the table's current roots.
 
-    One inequality row per grid cell, one row keeping mass >= tau on
-    indices zeta..n-1, one equality normalizing the total mass, plus
-    nonnegativity.  Every inequality row is scaled by its largest
-    coefficient so the tableau starts with unit row norms.  A cell whose
-    stored root is 0 (a root below the root tolerance) has no row and
-    raises ``RefinementError``.
+    One inequality row per grid cell: the certificate equation at the
+    cell's stored root t, linear in the weights,
+    sum_j a_j beta C(j, k) t^(j-k) >= C(n, k) t^(n-k) B_m(1-t; l), taken
+    for a whole grid row from one ``_SignEvaluator.log_sides`` call and
+    scaled so that its largest coefficient is 1.  A cell whose stored
+    root is 0 (below the root tolerance) gets no row: its eps is already
+    1 and cannot rise.  The objective sums C(j, k) t^(j-n) over the
+    cells.  One more row keeps mass >= tau (0 < tau <= 1) on indices
+    zeta..n-1, one equality normalizes the total mass.  A non-finite cell
+    row raises ``RefinementError`` naming the first such cell.
     """
     if problem != table.problem:
         raise ValueError("table was built for a different problem")
-    check_tol(tau, "tau")
+    _check_tau(tau)
     if problem.n > _CONDITION_REFUSE_N:
         raise ValueError(
             f"refinement rows are numerically meaningless for n={problem.n} "
@@ -127,45 +134,30 @@ def build_refinement_lp(
             RuntimeWarning,
             stacklevel=2,
         )
-    n, m_val, zeta = problem.n, problem.m, problem.zeta
-    log_beta = math.log(problem.beta)
-    lg = gammaln(np.arange(max(n, m_val) + 2, dtype=float))
-    js = np.arange(n + 1)
-
-    n_cells = (zeta + 1) * (m_val + 1)
-    a_ge = np.zeros((n_cells + 1, n + 1))
-    b_ge = np.zeros(n_cells + 1)
+    n = problem.n
+    ev = _SignEvaluator(problem, table.coefficients)
+    rows, rhs = [], []
     objective = np.zeros(n + 1)
-    row_idx = 0
-    for k in range(zeta + 1):
-        jk = js[k:]
-        log_comb_jk = lg[jk + 1] - lg[k + 1] - lg[jk - k + 1]
-        log_comb_nk = lg[n + 1] - lg[k + 1] - lg[n - k + 1]
-        for l in range(m_val + 1):
-            t = float(table.t[k, l])
-            if t <= 0.0:
-                raise RefinementError(k, l, f"root below the root tolerance {table.tol!r}")
-            log_t = math.log(t)
-            log_coeffs = log_comb_jk + (jk - n) * log_t
-            coeffs_row = np.exp(log_coeffs)
-            objective[k:] += coeffs_row
-            row = np.zeros(n + 1)
-            row[k:] = math.exp(log_beta) * coeffs_row
-            log_tail = 0.0 if l >= m_val else log_binom_cdf(m_val, l, 1.0 - t)
-            rhs = math.exp(log_comb_nk + log_tail)
-            scale = float(np.abs(row).max())
-            if not (np.isfinite(scale) and scale > 0.0 and np.isfinite(rhs)):
-                raise RefinementError(k, l, f"scale={scale!r}, rhs={rhs!r}")
-            row /= scale
-            rhs /= scale
-            if not (np.all(np.isfinite(row)) and np.isfinite(rhs)):
-                raise RefinementError(k, l, "non-finite row after scaling")
-            a_ge[row_idx] = row
-            b_ge[row_idx] = rhs
-            row_idx += 1
+    for k in range(problem.zeta + 1):
+        l = np.flatnonzero(table.t[k] > 0.0)
+        t = table.t[k, l]
+        terms, tail = ev.log_sides(t, k, l)
+        top = terms.max(axis=1)
+        row_rhs = np.exp(tail - top)
+        bad = ~(np.isfinite(top) & np.isfinite(row_rhs))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise RefinementError(k, int(l[i]), f"log scale={top[i]!r}, rhs={row_rhs[i]!r}")
+        block = np.zeros((l.size, n + 1))
+        block[:, k:] = np.exp(terms - top[:, None])
+        rows.append(block)
+        rhs.append(row_rhs)
+        objective[k:] += np.exp(terms - ev.log_beta - (n - k) * np.log(t)[:, None]).sum(axis=0)
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.
-    a_ge[n_cells, zeta:n] = 1.0
-    b_ge[n_cells] = tau
+    floor = np.zeros((1, n + 1))
+    floor[0, problem.zeta : n] = 1.0
+    a_ge = np.vstack(rows + [floor])
+    b_ge = np.concatenate(rhs + [[tau]])
 
     obj_scale = float(np.abs(objective).max())
     if not (np.isfinite(obj_scale) and obj_scale > 0.0):
@@ -225,7 +217,7 @@ def refine(
     if max_iter < 1:
         raise ValueError(f"require max_iter >= 1, got {max_iter}")
     check_tol(tol_converge, "tol_converge")
-    check_tol(tau, "tau")
+    _check_tau(tau)
     if problem.n > _CONDITION_REFUSE_N:
         raise ValueError(
             f"refinement rows are numerically meaningless for n={problem.n} "

@@ -181,16 +181,6 @@ class TrialRecord:
     chernoff: float | None
     tie: bool
 
-    def gaps(self) -> dict[str, float | None]:
-        return {
-            "eps_sr": self.eps_sr - self.v_true,
-            "eps_s": self.eps_s - self.v_true,
-            "eta": None if self.eta is None else self.eta - self.v_true,
-            "chernoff": None
-            if self.chernoff is None
-            else self.chernoff - self.v_true,
-        }
-
 
 @dataclass(frozen=True)
 class GapStatistics:

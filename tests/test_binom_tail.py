@@ -196,6 +196,11 @@ class TestBinomCdf:
             binom_cdf(5, 2, 1.5)
         with pytest.raises(ValueError):
             binom_cdf(0, 0, 0.5)
+        # One bad element fails an array call.
+        with pytest.raises(ValueError):
+            log_binom_cdf(5, np.array([2, 6]), 0.5)
+        with pytest.raises(ValueError):
+            log_binom_cdf(5, 2, np.array([0.5, -0.1]))
 
     def test_exact_rational_oracle(self):
         # log-space evaluation vs exact big-integer rational summation
@@ -210,6 +215,20 @@ class TestBinomCdf:
     def test_large_n_no_overflow(self):
         value = binom_cdf(100_000, 50_000, 0.5)
         assert 0.49 < value < 0.51
+
+    def test_log_cdf_arrays_match_exact_oracle(self):
+        # Every edge case (m < 0, m == n, t = 0, t = 1) sits beside
+        # ordinary elements in one broadcast call.
+        n = np.array([[12], [40]])
+        m = np.array([-1, 0, 5, 11, 12])
+        t = np.array([0.0, 0.3, 1.0, 0.999])[:, None, None]
+        out = log_binom_cdf(n, m, t)
+        assert out.shape == (4, 2, 5)
+        for i, j, c in np.ndindex(out.shape):
+            exact = exact_binom_cdf(int(n[j, 0]), int(m[c]), float(t[i, 0, 0]))
+            expected = math.log(exact) if exact > 0 else -math.inf
+            assert out[i, j, c] == pytest.approx(expected, rel=1e-10), (i, j, c)
+        assert isinstance(log_binom_cdf(12, 5, 0.3), float)
 
 
 class TestMonotonicity:

@@ -1,10 +1,22 @@
 """Command-line interface: values, files, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from scencert.cli import main
+
+
+def readme_examples():
+    """The commands of the README's CLI block, continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in commands if line.startswith("scencert ")]
+    assert examples, "README.md has no scencert commands in its CLI block"
+    return examples
 
 
 def run_cli(capsys, *args):
@@ -96,6 +108,8 @@ class TestExitCodes:
         (("simulate", "--kind", "bounding-box", "--d", "2", "--n", "30", "--m", "15",
           "--beta", "1e-6", "--runs", "60", "--seed", "9", "--threads", "0"),
          "thread count"),
+        (("refine", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
+          "--tau", "2"), "tau"),
     ])
     def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
                                             args, message):
@@ -104,13 +118,30 @@ class TestExitCodes:
         assert code == 3
         assert message in err
 
-    def test_refine_with_a_root_below_tol_names_the_cell(self, capsys):
-        # The root at (k=2, l=0) lies below tol, so its grid t is 0 and the
-        # LP row at that cell would need ln 0.
-        code, _, err = run_cli(capsys, "refine", "--n", "3", "--m", "0",
-                               "--zeta", "2", "--beta", "1e-14")
+    def test_refine_with_a_root_below_tol_converges(self, capsys, tmp_path):
+        # The root at (k=2, l=0) lies below tol, so its grid t is 0: that
+        # cell gets no LP row, and the other cells refine as usual.
+        trace_path = tmp_path / "trace.json"
+        code, out, _ = run_cli(capsys, "refine", "--n", "3", "--m", "0",
+                               "--zeta", "2", "--beta", "1e-14",
+                               "--output", str(trace_path))
+        assert code == 0
+        assert out.startswith("converged")
+        trace = json.loads(trace_path.read_text())
+        initial, final = trace[0]["eps_grid"], trace[-1]["eps_grid"]
+        assert initial[2][0] == 1.0
+        for row_initial, row_final in zip(initial, final):
+            assert all(f <= i for i, f in zip(row_initial, row_final))
+
+    def test_lower_limit_point_query_rejects_output(self, capsys, tmp_path):
+        grid_path = tmp_path / "limits.csv"
+        code, out, err = run_cli(capsys, "lower-limit", "--n", "30", "--m", "2",
+                                 "--zeta", "3", "--beta", "1e-6", "--k", "1",
+                                 "--l", "1", "--output", str(grid_path))
         assert code == 3
-        assert "(k=2, l=0)" in err
+        assert "--output" in err and "--k/--l" in err
+        assert out == ""
+        assert not grid_path.exists()
 
     def test_boolean_coefficients_are_rejected(self, capsys, tmp_path):
         coeffs_path = tmp_path / "coeffs.json"
@@ -297,3 +328,11 @@ class TestIncremental:
         m, r, eta, eps = lines[1].split(",")
         assert (m, r, eta) == ("0", "0", "")
         assert 0.0 < float(eps) < 1.0
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[0])
+    def test_example_exits_zero(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err

@@ -1,15 +1,25 @@
 """Coefficient refinement: LP construction, dominance, convergence."""
 
 import json
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
-from scencert.refinement import build_refinement_lp, dominance_check, refine
+from scencert.posterior_bounds import _SignEvaluator
+from scencert.refinement import (
+    RefinementError,
+    build_refinement_lp,
+    dominance_check,
+    refine,
+)
 from scencert.serialize import coefficients_json, parse_coefficients
 from scencert.simplex import lp_solve
+
+from helpers import exact_binom_cdf
 
 TOL = 1e-10
 
@@ -44,11 +54,54 @@ class TestBuildRefinementLp:
         solution = lp_solve(lp)
         assert solution.objective >= float(lp.c @ a.values) - 1e-9
 
+    def test_row_values_match_exact_equation(self):
+        # Row / rhs is beta C(j,k) t^(j-n) / (C(n,k) B_m(1-t; l)) at the
+        # stored root, whatever scale the row was given.
+        p = CertificateProblem(12, 2, 3, 1e-6)
+        table = bound_table(p, CoefficientVector.uniform(p), TOL)
+        lp = build_refinement_lp(table, p)
+        beta = Fraction(p.beta)
+        cells = [(k, l) for k in range(p.zeta + 1) for l in range(p.m + 1)]
+        assert lp.a_ge.shape[0] == len(cells) + 1
+        for (k, l), row, rhs in zip(cells, lp.a_ge, lp.b_ge):
+            t = Fraction(float(table.t[k, l]))
+            tail = comb(p.n, k) * exact_binom_cdf(p.m, l, 1 - t)
+            expected = [float(beta * comb(j, k) * t ** (j - p.n) / tail)
+                        for j in range(k, p.n + 1)]
+            np.testing.assert_allclose(row[k:] / rhs, expected, rtol=1e-12)
+            assert np.all(row[:k] == 0.0)
+
+    def test_root_stored_as_zero_gets_no_row(self):
+        p = CertificateProblem(3, 0, 2, 1e-14)
+        table = bound_table(p, CoefficientVector.uniform(p), TOL)
+        assert np.count_nonzero(table.t == 0.0) == 1
+        lp = build_refinement_lp(table, p)
+        assert lp.a_ge.shape[0] - 1 == table.t.size - 1  # the mass floor is last
+
+    def test_non_finite_row_names_its_first_cell(self, monkeypatch):
+        p, a = fig_config()
+        table = bound_table(p, a, TOL)
+        log_sides = _SignEvaluator.log_sides
+
+        def broken(ev, t, k, l):
+            terms, tail = log_sides(ev, t, k, l)
+            if k == 4:
+                tail[[2, 3]] = np.nan
+            return terms, tail
+
+        monkeypatch.setattr(_SignEvaluator, "log_sides", broken)
+        with pytest.raises(RefinementError) as info:
+            build_refinement_lp(table, p)
+        assert (info.value.k, info.value.l) == (4, 2)
+
     def test_rejects_bad_tau(self):
         p, a = fig_config()
         table = bound_table(p, a, TOL)
-        with pytest.raises(ValueError):
-            build_refinement_lp(table, p, tau=0.0)
+        for tau in (0.0, 2.0):
+            with pytest.raises(ValueError, match="tau"):
+                build_refinement_lp(table, p, tau=tau)
+            with pytest.raises(ValueError, match="tau"):
+                refine(p, a, tau=tau)
 
     def test_conditioning_warning_above_threshold(self):
         p = CertificateProblem(600, 0, 2, 1e-6)
