@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import serialize
 from ._parallel import resolve_threads
 from .classic_bounds import (
@@ -37,6 +35,7 @@ from .refinement import (
 )
 from .scenario_lab import (
     ToyScenarioProblem,
+    _run_seed,
     incremental_judgement,
     run_monte_carlo,
     solve_scenario,
@@ -172,10 +171,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_incremental(args) -> int:
     toy = _toy(args)
     cert = CertificateProblem(args.n, 0, toy.zeta, args.beta)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=args.seed, spawn_key=(0,))
-    )
-    pts = toy.sample(rng, args.n + args.m)
+    pts = toy.sample(_run_seed(args.seed, 0), args.n + args.m)
     solution = solve_scenario(toy, pts[: args.n])
     steps = incremental_judgement(
         toy,

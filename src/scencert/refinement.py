@@ -227,6 +227,9 @@ def refine(
     coeffs = initial
     table = bound_table(problem, coeffs, tol_root)
     iterations = [RefinementIteration(0, coeffs, table, None)]
+    if not (table.t > 0.0).any():
+        # Every eps is already 1: no cell has an LP row, nothing can rise.
+        return RefinementTrace(iterations, "converged")
     termination = "max_iter"
     for step in range(1, max_iter + 1):
         lp = build_refinement_lp(table, problem, tau)

@@ -19,12 +19,13 @@ tractable family checks the machinery, not the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .classic_bounds import DEFAULT_TOL, chernoff_bound, clopper_pearson
 from .posterior_bounds import (
+    _BATCH_ELEMENTS,
     CertificateProblem,
     CoefficientVector,
     bound_table,
@@ -106,42 +107,66 @@ def _as_samples(problem: ToyScenarioProblem, samples) -> np.ndarray:
     return arr
 
 
+def _extremes(
+    problem: ToyScenarioProblem, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support rule on a batch of design sets of shape (..., count, d).
+
+    Returns the decisions (shape (..., 1) for scalar_max, (..., 2, d)
+    with rows [lower; upper] for bounding_box), each extremum's first
+    attainer sorted along the last axis (a sample attaining several
+    extrema repeats; the distinct entries are the support constraints),
+    and the tie flags: some extremum is attained more than once.
+    """
+    if problem.kind == "scalar_max":
+        values = pts[..., 0]
+        first = values.argmax(axis=-1)[..., None]
+        top = np.take_along_axis(values, first, axis=-1)
+        tie = np.count_nonzero(values == top, axis=-1) > 1
+        return top, first, tie
+    # Gathering the bounds at their attainers is several times cheaper
+    # than min/max reductions along the strided sample axis.
+    first = np.stack([pts.argmin(axis=-2), pts.argmax(axis=-2)], axis=-2)
+    bounds = np.take_along_axis(pts, first, axis=-2)
+    # Each of the 2d extrema is attained at least once; any extra is a tie.
+    equal = pts[..., None, :, :] == bounds[..., :, None, :]
+    attained = np.count_nonzero(equal, axis=(-3, -2, -1))
+    first = np.sort(first.reshape(*first.shape[:-2], -1), axis=-1)
+    return bounds, first, attained > first.shape[-1]
+
+
+def _outside(
+    problem: ToyScenarioProblem, decision: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """Mask of samples (..., count, d) outside decisions shaped as ``_extremes`` gives."""
+    if problem.kind == "scalar_max":
+        return pts[..., 0] > decision
+    lo, hi = decision[..., None, 0, :], decision[..., None, 1, :]
+    return np.any((pts < lo) | (pts > hi), axis=-1)
+
+
+def _risk(problem: ToyScenarioProblem, decision: np.ndarray) -> np.ndarray:
+    """Closed-form violation probabilities of decisions shaped as ``_extremes`` gives."""
+    if problem.kind == "scalar_max":
+        return 1.0 - decision[..., 0]
+    return 1.0 - np.prod(decision[..., 1, :] - decision[..., 0, :], axis=-1)
+
+
 def solve_scenario(problem: ToyScenarioProblem, samples) -> ScenarioSolution:
     """Exact optimizer and support set for the given design samples."""
     pts = _as_samples(problem, samples)
     if pts.shape[0] < 1:
         raise ValueError("need at least one design sample")
-    support: set[int] = set()
-    tie = False
-    if problem.kind == "scalar_max":
-        values = pts[:, 0]
-        top = values.max()
-        attainers = np.nonzero(values == top)[0]
-        tie = attainers.size > 1
-        support.add(int(attainers[0]))
-        decision = np.array([top])
-    else:
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        for j in range(problem.dimension):
-            for extremum in (lo[j], hi[j]):
-                attainers = np.nonzero(pts[:, j] == extremum)[0]
-                if attainers.size > 1:
-                    tie = True
-                support.add(int(attainers[0]))
-        decision = np.stack([lo, hi])
-    return ScenarioSolution(problem, decision, tuple(sorted(support)), tie)
+    decision, first, tie = _extremes(problem, pts[None])
+    support = tuple(int(i) for i in np.unique(first[0]))
+    return ScenarioSolution(problem, decision[0], support, bool(tie[0]))
 
 
 def violation_mask(
     problem: ToyScenarioProblem, solution: ScenarioSolution, samples
 ) -> np.ndarray:
     """Boolean mask of samples outside the solution's feasible region."""
-    pts = _as_samples(problem, samples)
-    if problem.kind == "scalar_max":
-        return pts[:, 0] > solution.decision[0]
-    lo, hi = solution.decision
-    return np.any((pts < lo) | (pts > hi), axis=1)
+    return _outside(problem, solution.decision, _as_samples(problem, samples))
 
 
 def count_validation_violations(
@@ -157,10 +182,7 @@ def violation_probability(
     problem: ToyScenarioProblem, solution: ScenarioSolution
 ) -> float:
     """Closed-form violation probability under the uniform distribution."""
-    if problem.kind == "scalar_max":
-        return float(1.0 - solution.decision[0])
-    lo, hi = solution.decision
-    return float(1.0 - np.prod(hi - lo))
+    return float(_risk(problem, solution.decision))
 
 
 @dataclass(frozen=True)
@@ -227,10 +249,12 @@ def run_monte_carlo(
     """Monte Carlo audit of all certificates on a toy problem.
 
     Each run draws fresh n + m samples from its own deterministic stream,
-    solves the scenario program on the first n, counts validation
-    violations on the rest, and looks its certificates up in tables
-    computed once and shared across runs.  Identical ``master_seed``
-    gives a bit-identical record stream.
+    which depends only on (``master_seed``, run index), solves the
+    scenario program on the first n, counts validation violations on the
+    rest, and looks its certificates up in tables computed once and
+    shared across runs.  Runs are scored a block at a time, as arrays;
+    the block size changes no record.  Identical ``master_seed`` gives a
+    bit-identical record stream.
     """
     if runs < 1:
         raise ValueError(f"require runs >= 1, got {runs}")
@@ -245,51 +269,63 @@ def run_monte_carlo(
     else:
         eta_by_l = chern_by_l = None
 
-    def one(run: int) -> TrialRecord:
-        rng = _run_seed(master_seed, run)
-        pts = problem.sample(rng, n + m)
-        solution = solve_scenario(problem, pts[:n])
-        s = solution.support_count
-        r = count_validation_violations(problem, solution, pts[n:])
-        return TrialRecord(
-            run=run,
-            s=s,
-            r=r,
-            v_true=violation_probability(problem, solution),
-            eps_sr=float(table.eps[s, r]),
-            eps_s=float(judged[s]),
-            eta=None if eta_by_l is None else float(eta_by_l[r]),
-            chernoff=None if chern_by_l is None else float(chern_by_l[r]),
-            tie=solution.tie,
+    # Each block holds at most _BATCH_ELEMENTS sample coordinates; run i
+    # fills row i of it from its own stream, as problem.sample would.
+    width = n + m
+    block = max(1, _BATCH_ELEMENTS // (width * problem.dimension))
+    s, r = np.empty(runs, dtype=np.intp), np.empty(runs, dtype=np.intp)
+    v_true, tie = np.empty(runs), np.empty(runs, dtype=bool)
+    for start in range(0, runs, block):
+        stop = min(start + block, runs)
+        pts = np.empty((stop - start, width, problem.dimension))
+        for row in range(stop - start):
+            _run_seed(master_seed, start + row).random(out=pts[row])
+        decision, first, tie[start:stop] = _extremes(problem, pts[:, :n])
+        s[start:stop] = 1 + np.count_nonzero(np.diff(first, axis=-1), axis=-1)
+        r[start:stop] = np.count_nonzero(_outside(problem, decision, pts[:, n:]), axis=-1)
+        v_true[start:stop] = _risk(problem, decision)
+    bounds = {
+        "eps_sr": table.eps[s, r],
+        "eps_s": judged[s],
+        "eta": None if eta_by_l is None else eta_by_l[r],
+        "chernoff": None if chern_by_l is None else chern_by_l[r],
+    }
+    columns = [[None] * runs if bounds[name] is None else bounds[name].tolist()
+               for name in BOUND_NAMES]
+    records = [
+        TrialRecord(run, *fields)
+        for run, fields in enumerate(
+            zip(s.tolist(), r.tolist(), v_true.tolist(), *columns, tie.tolist())
         )
+    ]
+    return _aggregate(s, r, v_true, tie, bounds, m), records
 
-    records = [one(i) for i in range(runs)]
-    return _aggregate(records, m), records
 
-
-def _aggregate(records: Sequence[TrialRecord], m: int) -> GapStatistics:
-    runs = len(records)
-    v = np.array([rec.v_true for rec in records])
+def _aggregate(
+    s: np.ndarray,
+    r: np.ndarray,
+    v_true: np.ndarray,
+    tie: np.ndarray,
+    bounds: dict[str, np.ndarray | None],
+    m: int,
+) -> GapStatistics:
+    runs = s.size
     mean_gap: dict[str, float | None] = {}
     std_gap: dict[str, float | None] = {}
     confidence: dict[str, float | None] = {}
     for name in BOUND_NAMES:
-        values = [getattr(rec, name) for rec in records]
-        if any(value is None for value in values):
+        values = bounds[name]
+        if values is None:
             mean_gap[name] = std_gap[name] = confidence[name] = None
             continue
-        arr = np.array(values, dtype=float)
-        gaps = arr - v
+        gaps = values - v_true
         mean_gap[name] = float(gaps.mean())
         std_gap[name] = float(gaps.std(ddof=1)) if runs > 1 else 0.0
-        confidence[name] = float(np.mean(v > arr))
+        confidence[name] = float(np.mean(v_true > values))
     occurrences: dict[int, tuple[int, float | None]] = {}
-    for s in sorted({rec.s for rec in records}):
-        group = [rec for rec in records if rec.s == s]
-        mean_ratio = (
-            float(np.mean([rec.r / m for rec in group])) if m > 0 else None
-        )
-        occurrences[s] = (len(group), mean_ratio)
+    for value, count in zip(*np.unique(s, return_counts=True)):
+        mean_ratio = float(np.mean(r[s == value] / m)) if m > 0 else None
+        occurrences[int(value)] = (int(count), mean_ratio)
     return GapStatistics(
         runs=runs,
         bound_names=BOUND_NAMES,
@@ -297,7 +333,7 @@ def _aggregate(records: Sequence[TrialRecord], m: int) -> GapStatistics:
         std_gap=std_gap,
         empirical_confidence=confidence,
         occurrences=occurrences,
-        ties=sum(1 for rec in records if rec.tie),
+        ties=int(tie.sum()),
     )
 
 

@@ -133,6 +133,21 @@ class TestExitCodes:
         for row_initial, row_final in zip(initial, final):
             assert all(f <= i for i, f in zip(row_initial, row_final))
 
+    @pytest.mark.parametrize("sizes", [("2", "0", "1", "1e-300"),
+                                       ("4", "1", "3", "1e-200")])
+    def test_refine_with_every_root_zero_keeps_the_initial_iterate(
+            self, capsys, tmp_path, sizes):
+        # Every root lies below tol, so every eps is already 1 and no
+        # cell has an LP row: there is nothing to refine.
+        n, m, zeta, beta = sizes
+        trace_path = tmp_path / "trace.json"
+        code, out, _ = run_cli(capsys, "refine", "--n", n, "--m", m, "--zeta", zeta,
+                               "--beta", beta, "--output", str(trace_path))
+        assert code == 0
+        assert out == "converged after 0 refinement steps\n"
+        (initial,) = json.loads(trace_path.read_text())
+        assert all(eps == 1.0 for row in initial["eps_grid"] for eps in row)
+
     def test_lower_limit_point_query_rejects_output(self, capsys, tmp_path):
         grid_path = tmp_path / "limits.csv"
         code, out, err = run_cli(capsys, "lower-limit", "--n", "30", "--m", "2",

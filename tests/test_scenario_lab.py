@@ -1,11 +1,25 @@
 """Toy scenario programs, support-count exactness, Monte Carlo audit."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
-from scencert.posterior_bounds import CertificateProblem, CoefficientVector
+from scencert import scenario_lab
+from scencert.classic_bounds import chernoff_bound, clopper_pearson
+from scencert.posterior_bounds import (
+    CertificateProblem,
+    CoefficientVector,
+    bound_table,
+    wait_and_judge,
+)
 from scencert.scenario_lab import (
     ToyScenarioProblem,
+    TrialRecord,
+    _extremes,
+    _outside,
+    _run_seed,
     count_validation_violations,
     incremental_judgement,
     run_monte_carlo,
@@ -119,7 +133,103 @@ class TestSupportExactness:
                 assert changed == (i in solution.support_set)
 
 
+def scan_support(problem, pts):
+    """Support set and tie flag by scanning each extremum's attainers."""
+    support, tie = set(), False
+    columns = [(0, (pts[:, 0].max(),))] if problem.kind == "scalar_max" else [
+        (j, (pts[:, j].min(), pts[:, j].max())) for j in range(problem.dimension)
+    ]
+    for j, extrema in columns:
+        for extremum in extrema:
+            attainers = np.flatnonzero(pts[:, j] == extremum)
+            tie |= attainers.size > 1
+            support.add(int(attainers[0]))
+    return tuple(sorted(support)), tie
+
+
+class TestBatchedSupportRule:
+    @pytest.mark.parametrize("problem", [SCALAR, box(1), box(2), box(5)],
+                             ids=lambda p: f"{p.kind}-{p.dimension}")
+    def test_lattice_ties_match_per_slice_solutions(self, problem):
+        # Even slices sit on a coarse lattice, so extrema tie; odd slices
+        # are continuous and never tie.
+        rng = np.random.default_rng(55)
+        batch = rng.random((40, 9, problem.dimension))
+        batch[::2] = np.round(batch[::2] * 3) / 3
+        probe = np.round(rng.random((40, 7, problem.dimension)) * 3) / 3
+        decision, first, tie = _extremes(problem, batch)
+        mask = _outside(problem, decision, probe)
+        assert tie[::2].any() and not tie[1::2].any()
+        for i, pts in enumerate(batch):
+            solution = solve_scenario(problem, pts)
+            assert (solution.support_set, solution.tie) == scan_support(problem, pts)
+            assert np.array_equal(decision[i], solution.decision)
+            assert np.unique(first[i]).size == solution.support_count
+            assert tie[i] == solution.tie
+            assert np.array_equal(mask[i], violation_mask(problem, solution, probe[i]))
+
+
+def per_run_records(problem, n, m, beta, runs, seed):
+    """Audit records from one solve_scenario call per run."""
+    cert = CertificateProblem(n, m, problem.zeta, beta)
+    coeffs = CoefficientVector.uniform(cert)
+    eps = bound_table(cert, coeffs).eps
+    judged = wait_and_judge(cert, coeffs)
+    eta = clopper_pearson(m, np.arange(m + 1), beta) if m else None
+    records = []
+    for run in range(runs):
+        pts = problem.sample(_run_seed(seed, run), n + m)
+        solution = solve_scenario(problem, pts[:n])
+        s = solution.support_count
+        r = count_validation_violations(problem, solution, pts[n:])
+        records.append(TrialRecord(
+            run, s, r, violation_probability(problem, solution),
+            float(eps[s, r]), float(judged[s]),
+            float(eta[r]) if m else None,
+            chernoff_bound(m, r, beta).value if m else None,
+            solution.tie,
+        ))
+    return records
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "problem, m",
+        itertools.product([SCALAR, box(1), box(2), box(5)], [0, 6]),
+        ids=lambda v: f"{v.kind}-{v.dimension}" if isinstance(v, ToyScenarioProblem) else f"m{v}",
+    )
+    def test_blocks_match_per_run_oracle(self, monkeypatch, problem, m):
+        n, runs, seed = 12, 14, 11
+        whole, _ = run_monte_carlo(problem, n, m, 1e-3, runs, master_seed=seed)
+        monkeypatch.setattr(scenario_lab, "_BATCH_ELEMENTS",
+                            4 * (n + m) * problem.dimension)
+        sizes = []
+
+        def spy(problem, pts):
+            sizes.append(pts.shape[0])
+            return _extremes(problem, pts)
+
+        monkeypatch.setattr(scenario_lab, "_extremes", spy)
+        stats, records = run_monte_carlo(problem, n, m, 1e-3, runs, master_seed=seed)
+        assert sizes == [4, 4, 4, 2]
+        assert records == per_run_records(problem, n, m, 1e-3, runs, seed)
+        assert stats == whole
+
+    @pytest.mark.parametrize("problem, n, m, runs, records_sha, stats_sha", [
+        (box(3), 40, 25, 300,
+         "5ed4ac7391ffbc3bdc637e3bf0d9f8836819cd3cf5af2c38b11e19cc4f8621f6",
+         "0203c544be15a915740401e7b983ee2289536c16106570ffbb149cc22e603e36"),
+        (SCALAR, 25, 0, 50,
+         "854d5411705c1b261e330f881a6245aefeff0b7d7ec09443308f9147b50d1d9c",
+         "167bb141f110e241e5bf8a4604b87e84002f97a05e2c20e35c26b1b72d004b2c"),
+    ], ids=["box3", "scalar"])
+    def test_golden_record_stream(self, problem, n, m, runs, records_sha, stats_sha):
+        # Any change to a run's samples, its scoring or the statistics
+        # changes these digests.
+        stats, records = run_monte_carlo(problem, n, m, 1e-6, runs, master_seed=7)
+        assert hashlib.sha256(records_csv(records).encode()).hexdigest() == records_sha
+        assert hashlib.sha256(stats.to_json().encode()).hexdigest() == stats_sha
+
     def test_reproducible_per_master_seed(self):
         toy = box(2)
         _, records_a = run_monte_carlo(toy, 30, 15, 1e-6, 60, master_seed=9)
