@@ -8,10 +8,11 @@ below the limit computed here: for k >= 1 it is the root in (0, 1) of
 
 with mixture weights z_j = C(n,k) C(m,j) / C(n+m,k+j) * k/(k+j), and at
 k = 0 the limit is identically zero.  ``lower_limit`` takes one cell or
-an array of cells with the same k: the cells with a root are solved in
-one array bisection, and a grid row is one such call.  The degenerate
-grid that attains the limit at one chosen cell is also provided, for use
-in tightness demonstrations.
+an array of cells, and ``lower_limit_table`` passes it the whole grid.
+It sums the mixture by parts, so that a bisection step over a run of
+cells is one log-sum-exp of ln pmf_i(eps) + ln W_i per cell.  The
+degenerate grid that attains the limit at one chosen cell is also
+provided, for use in tightness demonstrations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .posterior_bounds import (
     _BATCH_ELEMENTS,
     CertificateProblem,
     _check_cell,
-    _check_support,
 )
 
 __all__ = [
@@ -70,7 +70,7 @@ class LowerLimit(NamedTuple):
 
 
 def lower_limit(
-    k: int,
+    k,
     l,
     problem: CertificateProblem,
     tol: float = DEFAULT_TOL,
@@ -85,73 +85,73 @@ def lower_limit(
     the mixture is still above beta, so the reported limit never exceeds
     the exact one.
 
-    ``l`` may also be a 1-d array of cells with the one support count k.
-    The cells with a root are then solved in one array bisection on
-    [0, 1], in which each cell follows the midpoint sequence it would
-    follow alone, and the result is a ``LowerLimit`` of arrays.  A scalar
-    ``l`` returns a float and a bool.
+    ``k`` and ``l`` may also be 1-d arrays of cells that broadcast
+    together, such as the whole grid that ``lower_limit_table`` passes;
+    the result is then a ``LowerLimit`` of arrays.
+
+    Summed by parts, the mixture at cell (k, l) is sum_{i<k+l} pmf_i W_i,
+    with pmf_i(eps) the binomial terms in n + m trials and the weights
+    W_i = sum_{j=max(0,i-k+1)}^{l} z_j, which do not depend on eps.  The
+    cells with a root are sorted by k + l and cut into runs of at most
+    _BATCH_ELEMENTS terms, each as wide as its largest k + l.  A run
+    builds its ln W when it starts and is solved in one array bisection
+    on [0, 1], in which each cell follows the midpoint sequence it would
+    follow alone.
     """
-    _check_support(problem, k)
+    if np.any(np.less(k, 0) | np.greater(k, problem.zeta)):
+        raise ValueError(f"require 0 <= k <= zeta={problem.zeta}, got k={k}")
     if np.any(np.less(l, 0) | np.greater(l, problem.m)):
         raise ValueError(f"require 0 <= l <= m={problem.m}, got l={l}")
+    scalar = np.ndim(k) == 0 and np.ndim(l) == 0
+    k, l = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(l))
     check_tol(tol)
-    cells = np.atleast_1d(l)
-    eps = np.zeros(cells.shape)
-    degenerate = np.zeros(cells.shape, dtype=bool)
-    if k >= 1:
-        z = z_coefficients(problem.n, problem.m, k)
-        degenerate[...] = [float(z[: j + 1].sum()) <= problem.beta for j in cells]
-        live = np.flatnonzero(~degenerate)
-        live = live[np.argsort(cells[live], kind="stable")]
-        if live.size:
-            eps[live] = _solve_limits(k, cells[live], np.log(z), problem, tol)
-    if np.ndim(l) == 0:
+    eps, degenerate = np.zeros(l.shape), np.zeros(l.shape, dtype=bool)
+    cells = np.flatnonzero(k >= 1)
+    ks, row = np.unique(k[cells], return_inverse=True)
+    log_z = np.log([z_coefficients(problem.n, problem.m, int(kr)) for kr in ks])
+    log_z = log_z.reshape(ks.size, problem.m + 1)
+    log_beta = math.log(problem.beta)
+    log_total = np.logaddexp.accumulate(log_z, axis=1)[row, l[cells]]  # ln W_0
+    degenerate[cells] = log_total <= log_beta
+    live = np.flatnonzero(log_total > log_beta)
+    live = live[np.argsort((k + l)[cells[live]], kind="stable")]
+    cells, row, log_total = cells[live], row[live], log_total[live]
+    width = (k + l)[cells]  # pmf terms i = 0..k+l-1 per cell
+    n_total = problem.n + problem.m
+    i = np.arange(width[-1] if width.size else 0, dtype=float)
+    log_comb = gammaln(n_total + 1.0) - gammaln(i + 1.0) - gammaln(n_total - i + 1.0)
+    start = 0
+    while start < cells.size:
+        # width is non-decreasing, so (c + 1) * width[start + c] rises with c
+        span = width[start : start + max(1, _BATCH_ELEMENTS // width[start])]
+        fits = np.arange(1, span.size + 1) * span <= _BATCH_ELEMENTS
+        run = slice(start, start + max(1, np.count_nonzero(fits)))
+        terms = width[run.stop - 1]
+        # ln W_i is ln W_0 for i < k, then the suffix sums of z_1..z_l
+        log_w = np.full((run.stop - start, terms), -np.inf)
+        for r in np.unique(row[run]):
+            at = np.flatnonzero(row[run] == r)
+            kr, at_l = ks[r], l[cells[run][at]]
+            j = np.arange(1, at_l.max() + 1)
+            suffix = np.where(j <= at_l[:, None], log_z[r, j], -np.inf)
+            log_w[at, :kr] = log_total[run][at, None]
+            suffix = np.logaddexp.accumulate(suffix[:, ::-1], axis=1)[:, ::-1]
+            log_w[at, kr : kr + j.size] = suffix
+        log_w += log_comb[:terms]
+        buf = np.empty_like(log_w)
+
+        def above_beta(x: np.ndarray) -> np.ndarray:
+            # ln pmf_i = ln C(n+m, i) + (n+m) ln(1 - x) + i ln(x / (1 - x))
+            log_1mx = np.log1p(-x)
+            log_terms = np.multiply(i[:terms], (np.log(x) - log_1mx)[:, None], out=buf)
+            log_terms += log_w
+            return log_sum_exp(log_terms) + n_total * log_1mx > log_beta
+
+        eps[cells[run]], _ = bisect(above_beta, np.zeros(len(log_w)), 1.0, tol)
+        start = run.stop
+    if scalar:
         return LowerLimit(float(eps[0]), bool(degenerate[0]))
     return LowerLimit(eps, degenerate)
-
-
-def _solve_limits(
-    k: int, l: np.ndarray, log_z: np.ndarray, problem: CertificateProblem, tol: float
-) -> np.ndarray:
-    """Roots for the cells (k, l[i]), k >= 1, each with a root; ``l`` is
-    sorted ascending.
-
-    Cell (k, l) needs k + l pmf terms, so the cells are cut into runs of
-    at most _BATCH_ELEMENTS terms, each as wide as its own largest l.
-    """
-    log_beta = math.log(problem.beta)
-    n_total = problem.n + problem.m
-    # The tails B_{n+m}(eps; k+j-1), j = 0..l, are the prefix sums of the
-    # pmf terms i = 0..k+l-1 from index k-1 on; k+l-1 < n+m, so none of
-    # them is the full mass.
-    i = np.arange(k + int(l[-1]), dtype=float)
-    log_comb = gammaln(n_total + 1.0) - gammaln(i + 1.0) - gammaln(n_total - i + 1.0)
-    starts = [0]
-    for c in range(1, len(l)):
-        if (c + 1 - starts[-1]) * (k + int(l[c])) > _BATCH_ELEMENTS:
-            starts.append(c)
-    runs = []
-    for start, stop in zip(starts, starts[1:] + [len(l)]):
-        width = int(l[stop - 1]) + 1  # tails j = 0..largest l of the run
-        runs.append((slice(start, stop), k + width - 1, log_z[:width], np.arange(width)))
-
-    def above_beta(eps: np.ndarray) -> np.ndarray:
-        out = np.empty(eps.shape, dtype=bool)
-        for cells, n_terms, log_z_run, j_run in runs:
-            # ln of the pmf terms, then their running log-sums, in place
-            terms = i[:n_terms] * np.log(eps[cells, None])
-            terms += log_comb[:n_terms]
-            terms += (n_total - i[:n_terms]) * np.log1p(-eps[cells, None])
-            np.logaddexp.accumulate(terms, axis=1, out=terms)
-            tails = terms[:, k - 1 :]
-            np.minimum(tails, 0.0, out=tails)
-            tails += log_z_run
-            tails[j_run > l[cells, None]] = -np.inf
-            out[cells] = log_sum_exp(tails) > log_beta
-        return out
-
-    lo, _ = bisect(above_beta, np.zeros(len(l)), 1.0, tol)
-    return lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,21 +179,14 @@ def lower_limit_table(
 ) -> LowerLimitTable:
     """Lower limits for every cell (k, l).
 
-    Each row k >= 1 is one array ``lower_limit`` call over l = 0..m: its
-    cells with a root share one bisection on [0, 1], in which every cell
-    follows the midpoint sequence the scalar call follows for it.  Each
-    bisection step evaluates the row in runs of consecutive cells, at
-    most _BATCH_ELEMENTS pmf terms per run, and each run is only as wide
-    as its own largest l needs.  A long row thus stays small in memory,
-    and its short cells are not padded out to the row's full width.
+    The whole grid is one array ``lower_limit`` call: its cells are cut
+    into runs in order of k + l, and each run is one array bisection on
+    [0, 1] in which every cell follows the midpoint sequence the scalar
+    call follows for it.
     """
-    shape = (problem.zeta + 1, problem.m + 1)
-    eps = np.zeros(shape)
-    degenerate = np.zeros(shape, dtype=bool)
-    l = np.arange(problem.m + 1)
-    for k in range(1, problem.zeta + 1):
-        eps[k], degenerate[k] = lower_limit(k, l, problem, tol)
-    return LowerLimitTable(problem, tol, eps, degenerate)
+    k, l = np.indices((problem.zeta + 1, problem.m + 1))
+    eps, degenerate = lower_limit(k.ravel(), l.ravel(), problem, tol)
+    return LowerLimitTable(problem, tol, eps.reshape(k.shape), degenerate.reshape(k.shape))
 
 
 def attaining_table(

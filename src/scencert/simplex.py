@@ -108,11 +108,13 @@ class LPSolution:
     objective: float
 
 
-def _solve_basis(a: np.ndarray, basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_basis(basis_matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a basis matrix or its transpose.  A singular basis is a
+    numerical breakdown of the method, so it raises SimplexError."""
     try:
-        return np.linalg.solve(a[:, basis], rhs)
+        return np.linalg.solve(basis_matrix, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SimplexError(f"singular basis {basis.tolist()}") from exc
+        raise SimplexError(f"singular basis matrix: {exc}") from exc
 
 
 def _revised_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
@@ -133,14 +135,14 @@ def _revised_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
     last_objective = np.inf
     for _ in range(_MAX_PIVOTS):
         basis_matrix = a[:, basis]
-        x_basic = _solve_basis(a, basis, b)
+        x_basic = _solve_basis(basis_matrix, b)
         objective = float(cost[basis] @ x_basic)
         if objective < last_objective - 1e-12 * (1.0 + abs(objective)):
             stall = 0
             last_objective = objective
         else:
             stall += 1
-        duals = np.linalg.solve(basis_matrix.T, cost[basis])
+        duals = _solve_basis(basis_matrix.T, cost[basis])
         reduced = cost - duals @ a
         reduced[basis] = 0.0
         negative = np.nonzero(reduced < -_PIVOT_TOL)[0]
@@ -151,7 +153,7 @@ def _revised_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
             entering = int(negative[0])  # smallest index: Bland's rule
         else:
             entering = int(negative[np.argmin(reduced[negative])])
-        direction = np.linalg.solve(basis_matrix, a[:, entering])
+        direction = _solve_basis(basis_matrix, a[:, entering])
         blocking = np.nonzero(direction > _PIVOT_TOL)[0]
         if blocking.size == 0:
             raise LPUnboundedError(f"entering column {entering} has no blocking row")
@@ -209,7 +211,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     phase1_cost[n_cols:] = 1.0
     basis = np.arange(n_cols, n_cols + n_rows)
     _revised_simplex(a_ext, b, phase1_cost, basis)
-    x_basic = _solve_basis(a_ext, basis, b)
+    x_basic = _solve_basis(a_ext[:, basis], b)
     artificial = basis >= n_cols
     scale = max(1.0, float(np.abs(b).max()))
     if float(np.abs(x_basic[artificial]).sum()) > _FEAS_TOL * scale:
@@ -223,7 +225,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
         if basis[i] >= n_cols:
             unit = np.zeros(n_rows)
             unit[i] = 1.0
-            inverse_row = np.linalg.solve(a_ext[:, basis].T, unit)
+            inverse_row = _solve_basis(a_ext[:, basis].T, unit)
             weights = inverse_row @ a_ext[:, :n_cols]
             structural = np.nonzero(np.abs(weights) > _PIVOT_TOL)[0]
             if structural.size:
@@ -239,7 +241,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     _revised_simplex(a_struct, b_struct, phase2_cost, basis)
 
     x_full = np.zeros(n_cols)
-    x_full[basis] = _solve_basis(a_struct, basis, b_struct)
+    x_full[basis] = _solve_basis(a_struct[:, basis], b_struct)
     if float(x_full.min()) < -_FEAS_TOL:
         raise SimplexError(
             f"final basis is not feasible (min coordinate {x_full.min():.3e})"

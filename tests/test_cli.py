@@ -180,6 +180,30 @@ class TestExitCodes:
         assert code == 4
         assert "LP failure" in err
 
+    @pytest.mark.parametrize("failing_call", [2, 3])
+    def test_singular_basis_in_any_simplex_solve_is_an_lp_failure(
+            self, capsys, monkeypatch, failing_call):
+        # A simplex iteration solves for the basic solution, then the duals
+        # (call 2), then the entering direction (call 3).  A singular basis
+        # in any of them is a breakdown of the LP, not an input error.
+        import numpy as np
+
+        real_solve = np.linalg.solve
+        calls = []
+
+        def solve(matrix, rhs):
+            calls.append(None)
+            if len(calls) >= failing_call:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(matrix, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        code, out, err = run_cli(capsys, "refine", "--n", "30", "--m", "2",
+                                 "--zeta", "3", "--beta", "1e-6")
+        assert code == 4
+        assert out.startswith("lp_failure")
+        assert "Singular matrix" not in err
+
     def test_refine_beyond_readme_sizes_ends_in_bounded_time(self, capsys,
                                                               monkeypatch):
         # This LP once ran the simplex into its pivot limit after minutes;
@@ -238,6 +262,14 @@ class TestFiles:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "k,l,eps_lower"
         assert len(lines) == 1 + 6 * 5
+
+    def test_lower_limit_grid_beyond_readme_sizes(self, capsys, tmp_path):
+        out_path = tmp_path / "lower.csv"
+        code, _, _ = run_cli(capsys, "lower-limit", "--n", "200", "--m", "400",
+                             "--zeta", "10", "--beta", "1e-6",
+                             "--output", str(out_path))
+        assert code == 0
+        assert len(out_path.read_text().strip().split("\n")) == 1 + 11 * 401
 
     def test_lower_limit_grid_warns_about_degenerate_cells(self, capsys, tmp_path):
         out_path = tmp_path / "lower.csv"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scencert import lower_limits
-from scencert.classic_bounds import apriori_epsilon
+from scencert.classic_bounds import apriori_epsilon, bisect
 from scencert.lower_limits import (
     attaining_table,
     lower_limit,
@@ -50,6 +50,20 @@ class TestZCoefficients:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             z_coefficients(10, 5, 0)
+
+
+def test_mixture_summed_by_parts_is_exact():
+    # sum_{j<=l} z_j B_{n+m}(eps; k+j-1) = sum_{i<k+l} pmf_i(eps) W_i with
+    # W_i = sum_{j=max(0,i-k+1)}^{l} z_j, in exact rational arithmetic
+    eps = Fraction(3, 17)
+    for n, m, k, l in [(12, 5, 1, 0), (12, 5, 3, 5), (20, 8, 6, 3), (9, 9, 9, 7)]:
+        z = exact_z(n, m, k)
+        by_parts = sum(
+            comb(n + m, i) * eps**i * (1 - eps) ** (n + m - i)
+            * sum(z[max(0, i - k + 1) : l + 1])
+            for i in range(k + l)
+        )
+        assert by_parts == exact_lower_lhs(n, m, k, l, eps)
 
 
 class TestLowerLimit:
@@ -162,39 +176,44 @@ class TestLowerLimitRow:
             lower_limit(1, np.array([0, 11]), self.P)
         with pytest.raises(ValueError):
             lower_limit(1, np.array([-1, 2]), self.P)
+        with pytest.raises(ValueError):
+            lower_limit(np.array([1, 4]), np.array([0, 2]), self.P)
 
     def test_sliced_rows_equal_unsliced(self, monkeypatch):
         p = CertificateProblem(30, 12, 4, 1e-3)
         whole = lower_limit_table(p, TOL)
         batch = 40
         monkeypatch.setattr(lower_limits, "_BATCH_ELEMENTS", batch)
-        shapes = []
+        runs = []
 
-        def spy(log_terms):
-            shapes.append(np.shape(log_terms))
+        def bisect_spy(*args):
+            runs.append([])
+            return bisect(*args)
+
+        def log_sum_exp_spy(log_terms):
+            # cell (k, l) has k + l pmf terms; the padding beyond is -inf
+            runs[-1].append((np.isfinite(log_terms).sum(axis=1), log_terms.shape[1]))
             return log_sum_exp(log_terms)
 
-        monkeypatch.setattr(lower_limits, "log_sum_exp", spy)
+        monkeypatch.setattr(lower_limits, "bisect", bisect_spy)
+        monkeypatch.setattr(lower_limits, "log_sum_exp", log_sum_exp_spy)
         sliced = lower_limit_table(p, TOL)
         assert np.array_equal(sliced.eps_lower, whole.eps_lower)
         assert np.array_equal(sliced.degenerate, whole.degenerate)
-        # Each bisection step walks row k's live cells in runs, in order of
-        # l: a run of cells l[a..b] holds the tails j = 0..l[b], so k + l[b]
-        # pmf terms per cell, and no more terms than the batch allows.
-        for k in range(1, p.zeta + 1):
-            shapes.clear()
-            live = np.flatnonzero(~lower_limit(k, np.arange(p.m + 1), p).degenerate)
-            first, step_ends = 0, []
-            for cells, width in shapes:
-                last = live[first + cells - 1]
-                assert width == last + 1
-                assert cells * (k + last) <= batch or cells == 1
-                first += cells
-                if first == live.size:
-                    step_ends.append(len(shapes))
-                    first = 0
-            assert first == 0
-            assert step_ends[0] > 1  # the row splits into several runs
+        # The grid's live cells, in order of k + l, are cut into runs with
+        # one bisection each: a run is as wide as its largest k + l and
+        # holds no more terms than the batch allows, unless it is one cell.
+        assert len(runs) > 1
+        k, l = np.indices(whole.eps_lower.shape)
+        live = (k >= 1) & ~whole.degenerate
+        seen = []
+        for calls in runs:
+            terms, width = calls[0]
+            assert all(np.array_equal(t, terms) and w == width for t, w in calls)
+            assert width == terms[-1]
+            assert terms.size * width <= batch or terms.size == 1
+            seen.extend(terms)
+        assert np.array_equal(seen, np.sort((k + l)[live]))
 
 
 class TestLowerLimitTable:
@@ -204,6 +223,16 @@ class TestLowerLimitTable:
         assert table.eps_lower.shape == (5, 7)
         assert np.all(table.eps_lower[0] == 0.0)
         assert not table.degenerate.any()
+
+    @pytest.mark.parametrize("problem", [CertificateProblem(10, 10, 3, 0.9),
+                                         CertificateProblem(60, 30, 8, 1e-6)])
+    def test_rows_equal_row_calls(self, problem):
+        # runs span the whole grid, yet each row matches its own one-k call
+        table = lower_limit_table(problem, TOL)
+        for k in range(problem.zeta + 1):
+            eps, degenerate = lower_limit(k, np.arange(problem.m + 1), problem, TOL)
+            assert np.array_equal(table.eps_lower[k], eps)
+            assert np.array_equal(table.degenerate[k], degenerate)
 
     def test_dominated_by_any_bound_table(self):
         p = CertificateProblem(100, 5, 8, 1e-6)
