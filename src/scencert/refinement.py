@@ -182,8 +182,9 @@ class RefinementTrace:
     """Per-iteration record of a refinement run.
 
     The root grids are cellwise nondecreasing across iterations (up to
-    twice the root tolerance); termination is one of ``converged``,
-    ``max_iter`` or ``lp_failure``, and the last iterate is always valid.
+    twice the root tolerance, which ``refine`` enforces); termination is
+    one of ``converged``, ``max_iter`` or ``lp_failure``, and the last
+    iterate is always valid.
     """
 
     iterations: list[RefinementIteration]
@@ -210,9 +211,12 @@ def refine(
     """Alternate root computation and weight re-optimization until the
     largest cellwise root increase falls below ``tol_converge``.
 
-    An LP failure ends the run with the last valid iterate in the trace
-    rather than raising; the iterates themselves never regress, so the
-    final grid is cellwise at least as tight as the initial one.
+    A step is accepted only if the solver's weights form a valid
+    coefficient vector and no root of their table is more than
+    ``2 * tol_root`` below the current one.  An LP error or a rejected
+    step ends the run with ``lp_failure`` and the last valid iterate in
+    the trace rather than raising, so the final grid is cellwise at
+    least as tight as the initial one.
     """
     if max_iter < 1:
         raise ValueError(f"require max_iter >= 1, got {max_iter}")
@@ -234,14 +238,15 @@ def refine(
     for step in range(1, max_iter + 1):
         lp = build_refinement_lp(table, problem, tau)
         try:
-            solution = lp_solve(lp)
-        except LPError:
+            x = lp_solve(lp).x
+            coeffs = CoefficientVector(x / x.sum(), problem, scheme="refined")
+        except (LPError, ValueError):
             termination = "lp_failure"
             break
-        values = np.clip(solution.x, 0.0, None)
-        values /= values.sum()
-        coeffs = CoefficientVector(values, problem, scheme="refined")
         new_table = bound_table(problem, coeffs, tol_root)
+        if np.any(new_table.t < table.t - 2.0 * tol_root):
+            termination = "lp_failure"
+            break
         increase = float(np.max(new_table.t - table.t))
         iterations.append(RefinementIteration(step, coeffs, new_table, increase))
         table = new_table

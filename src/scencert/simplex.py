@@ -1,15 +1,4 @@
-"""Dense two-phase revised simplex for small linear programs.
-
-The refinement step needs one small LP per iteration (a few hundred
-variables, around a hundred rows), so a self-contained deterministic
-solver beats an external dependency: runs stay bit-reproducible.  Every
-pivot recomputes the basic solution, the duals and the entering
-direction directly from the original constraint matrix, so roundoff
-never accumulates across pivots -- essential here because the refinement
-programs are feasible only within razor-thin margins near their fixed
-point.  Pivoting is Dantzig's rule with a largest-direction ratio
-tie-break, falling back to Bland's rule whenever the objective stalls so
-that degenerate vertices cannot cycle.
+"""Small linear programs, solved by HiGHS.
 
 Problems are stated as
 
@@ -17,11 +6,33 @@ Problems are stated as
     subject to  a_ge x >= b_ge
                 a_eq x  = b_eq
                 x >= 0.
+
+``lp_solve`` runs the dual revised simplex of HiGHS (Huangfu & Hall,
+Math. Prog. Comp. 10, 2018), which ships with SciPy.  Its extension
+module is loaded by file path on the first solve, so ``scipy.optimize``
+(about 23 MB of resident memory) is never imported; where that private
+module is missing or will not load, ``scipy.optimize.linprog`` runs
+HiGHS with the same fixed options:
+
+- ``output_flag`` off;
+- ``presolve`` off: near their fixed point every row of the refinement
+  programs is tight, and presolve called such a program infeasible
+  although the previous weights violated it by only 4.2e-17;
+- ``primal_feasibility_tolerance`` 1e-10;
+- ``simplex_scale_strategy`` 0: HiGHS applies its tolerances to the
+  scaled model, so with scaling a zero weight could pass for the
+  refinement's mass floor of 1e-9.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -35,10 +46,8 @@ __all__ = [
     "lp_solve",
 ]
 
-_PIVOT_TOL = 1e-10
-_FEAS_TOL = 1e-8  # matches the documented residual contract of lp_solve
-_MAX_PIVOTS = 100_000
-_STALL_LIMIT = 30  # stalled pivots before switching to Bland's rule
+_PRIMAL_FEAS_TOL = 1e-10
+_HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
 class LPError(RuntimeError):
@@ -108,143 +117,106 @@ class LPSolution:
     objective: float
 
 
-def _solve_basis(basis_matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a basis matrix or its transpose.  A singular basis is a
-    numerical breakdown of the method, so it raises SimplexError."""
-    try:
-        return np.linalg.solve(basis_matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SimplexError(f"singular basis matrix: {exc}") from exc
+@cache
+def _load_highs():
+    """SciPy's HiGHS extension module, or None where it cannot be loaded.
 
-
-def _revised_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray,
-                     basis: np.ndarray) -> np.ndarray:
-    """Minimize cost.x over {a x = b, x >= 0} from a feasible basis.
-
-    The basis array is updated in place and returned; each iteration
-    re-solves against the original data, so no drift survives a pivot.
-    One basic solution per iteration serves both the ratio test and the
-    stall test.  Stalls count from the objective of the starting basis
-    (the first iteration always counts as progress over ``inf``): a
-    pivot that lowers the best objective so far resets the count, and
-    Bland's rule prices only after ``_STALL_LIMIT`` pivots in a row
-    without such progress.
+    It is registered under its own name, so a later ``import
+    scipy.optimize`` reuses it instead of loading the library twice.
     """
-    n_rows = a.shape[0]
-    stall = 0
-    last_objective = np.inf
-    for _ in range(_MAX_PIVOTS):
-        basis_matrix = a[:, basis]
-        x_basic = _solve_basis(basis_matrix, b)
-        objective = float(cost[basis] @ x_basic)
-        if objective < last_objective - 1e-12 * (1.0 + abs(objective)):
-            stall = 0
-            last_objective = objective
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    try:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(scipy_dir, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                break
         else:
-            stall += 1
-        duals = _solve_basis(basis_matrix.T, cost[basis])
-        reduced = cost - duals @ a
-        reduced[basis] = 0.0
-        negative = np.nonzero(reduced < -_PIVOT_TOL)[0]
-        if negative.size == 0:
-            return basis
-        use_bland = stall >= _STALL_LIMIT
-        if use_bland:
-            entering = int(negative[0])  # smallest index: Bland's rule
-        else:
-            entering = int(negative[np.argmin(reduced[negative])])
-        direction = _solve_basis(basis_matrix, a[:, entering])
-        blocking = np.nonzero(direction > _PIVOT_TOL)[0]
-        if blocking.size == 0:
-            raise LPUnboundedError(f"entering column {entering} has no blocking row")
-        ratios = np.maximum(x_basic[blocking], 0.0) / direction[blocking]
-        best = float(ratios.min())
-        ties = blocking[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        if use_bland:
-            leaving = int(ties[np.argmin(basis[ties])])
-        else:
-            leaving = int(ties[np.argmax(direction[ties])])
-        basis[leaving] = entering
-    raise SimplexError(f"pivot limit {_MAX_PIVOTS} exceeded ({n_rows} rows)")
+            return None
+        spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    sys.modules[_HIGHS_CORE] = module
+    return module
+
+
+def _rowwise(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row starts, column indices and values of the stacked blocks'
+    nonzeros, read block by block."""
+    counts, index, value = [], [], []
+    for a in blocks:
+        rows, cols = np.nonzero(a)
+        counts.append(np.bincount(rows, minlength=a.shape[0]))
+        index.append(cols)
+        value.append(a[rows, cols])
+    start = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return start, np.concatenate(index), np.concatenate(value)
+
+
+def _solve_core(h, lp: LinearProgram) -> np.ndarray:
+    model = h.HighsLp()
+    model.num_col_ = lp.n_vars
+    model.num_row_ = lp.b_ge.size + lp.b_eq.size
+    model.sense_ = h.ObjSense.kMaximize
+    model.col_cost_ = lp.c
+    model.col_lower_ = np.zeros(lp.n_vars)
+    model.col_upper_ = np.full(lp.n_vars, h.kHighsInf)
+    model.row_lower_ = np.concatenate([lp.b_ge, lp.b_eq])
+    model.row_upper_ = np.concatenate([np.full(lp.b_ge.size, h.kHighsInf), lp.b_eq])
+    matrix = model.a_matrix_
+    matrix.format_ = h.MatrixFormat.kRowwise
+    matrix.num_col_ = model.num_col_
+    matrix.num_row_ = model.num_row_
+    matrix.start_, matrix.index_, matrix.value_ = _rowwise(lp.a_ge, lp.a_eq)
+
+    highs = h._Highs()
+    for name, value in (("output_flag", False), ("presolve", "off"),
+                        ("primal_feasibility_tolerance", _PRIMAL_FEAS_TOL),
+                        ("simplex_scale_strategy", 0)):
+        if highs.setOptionValue(name, value) == h.HighsStatus.kError:
+            raise SimplexError(f"HiGHS rejected option {name}={value!r}")
+    if highs.passModel(model) == h.HighsStatus.kError:
+        raise SimplexError("HiGHS rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == h.HighsModelStatus.kOptimal:
+        return np.array(highs.getSolution().col_value)
+    error = {h.HighsModelStatus.kInfeasible: LPInfeasibleError,
+             h.HighsModelStatus.kUnbounded: LPUnboundedError}.get(status, SimplexError)
+    raise error(f"HiGHS: {highs.modelStatusToString(status)}")
+
+
+def _solve_linprog(lp: LinearProgram) -> np.ndarray:
+    from scipy.optimize import OptimizeWarning, linprog
+
+    with warnings.catch_warnings():
+        # SciPy passes an option it does not name to HiGHS, and says so.
+        warnings.filterwarnings("ignore", r"Unrecognized options detected: "
+                                r"\{'simplex_scale_strategy'", OptimizeWarning)
+        result = linprog(-lp.c, A_ub=-lp.a_ge, b_ub=-lp.b_ge, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                         bounds=(0.0, None), method="highs",
+                         options={"disp": False, "presolve": False,
+                                  "primal_feasibility_tolerance": _PRIMAL_FEAS_TOL,
+                                  "simplex_scale_strategy": 0})
+    if result.status == 0:
+        return result.x
+    error = {2: LPInfeasibleError, 3: LPUnboundedError}.get(result.status, SimplexError)
+    raise error(f"linprog: {result.message}")
 
 
 def lp_solve(lp: LinearProgram) -> LPSolution:
-    """Optimal basic feasible solution of a small dense LP.
+    """Optimal basic solution of the program, clipped at 0.
 
-    Feasibility residuals of the returned point are at the level of one
-    fresh linear solve (well below 1e-8 for the scaled refinement
-    programs).  Raises LPInfeasibleError when phase 1 cannot zero the
-    artificial variables and LPUnboundedError when an entering column
-    has no blocking row; neither can occur for the refinement programs,
-    whose feasible set is a nonempty face of the probability simplex, so
-    seeing them there signals numerical breakdown, not a model property.
+    Its feasibility residuals are at the level of the primal feasibility
+    tolerance.  Raises LPInfeasibleError or LPUnboundedError when HiGHS
+    proves the program infeasible or unbounded, and SimplexError on any
+    other outcome.  The refinement programs are feasible and bounded, so
+    any of these there signals numerical breakdown.
     """
-    n = lp.n_vars
-    p = lp.b_ge.size
-    q = lp.b_eq.size
-    n_rows = p + q
-    # Equality standard form: x, then one surplus per >= row.
-    a = np.zeros((n_rows, n + p))
-    b = np.empty(n_rows)
-    if p:
-        a[:p, :n] = lp.a_ge
-        a[:p, n : n + p] = -np.eye(p)
-        b[:p] = lp.b_ge
-    if q:
-        a[p:, :n] = lp.a_eq
-        b[p:] = lp.b_eq
-    neg = b < 0.0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    if n_rows == 0:
-        # Only x >= 0 remains; bounded iff no objective coefficient is
-        # positive, in which case x = 0 is optimal.
-        if np.any(lp.c > _PIVOT_TOL):
-            raise LPUnboundedError("no constraints bound a rising objective")
-        return LPSolution(np.zeros(n), 0.0)
-
-    n_cols = n + p
-    a_ext = np.hstack([a, np.eye(n_rows)])
-
-    phase1_cost = np.zeros(n_cols + n_rows)
-    phase1_cost[n_cols:] = 1.0
-    basis = np.arange(n_cols, n_cols + n_rows)
-    _revised_simplex(a_ext, b, phase1_cost, basis)
-    x_basic = _solve_basis(a_ext[:, basis], b)
-    artificial = basis >= n_cols
-    scale = max(1.0, float(np.abs(b).max()))
-    if float(np.abs(x_basic[artificial]).sum()) > _FEAS_TOL * scale:
-        raise LPInfeasibleError("phase 1 could not drive artificial variables to zero")
-
-    # Pivot leftover zero-level artificial variables out of the basis;
-    # rows whose basis inverse row meets no structural column are
-    # redundant and get dropped.
-    keep = np.ones(n_rows, dtype=bool)
-    for i in range(n_rows):
-        if basis[i] >= n_cols:
-            unit = np.zeros(n_rows)
-            unit[i] = 1.0
-            inverse_row = _solve_basis(a_ext[:, basis].T, unit)
-            weights = inverse_row @ a_ext[:, :n_cols]
-            structural = np.nonzero(np.abs(weights) > _PIVOT_TOL)[0]
-            if structural.size:
-                basis[i] = int(structural[0])
-            else:
-                keep[i] = False
-    a_struct = a[keep]
-    b_struct = b[keep]
-    basis = basis[keep]
-
-    phase2_cost = np.zeros(n_cols)
-    phase2_cost[:n] = -lp.c  # maximize c.x == minimize -c.x
-    _revised_simplex(a_struct, b_struct, phase2_cost, basis)
-
-    x_full = np.zeros(n_cols)
-    x_full[basis] = _solve_basis(a_struct[:, basis], b_struct)
-    if float(x_full.min()) < -_FEAS_TOL:
-        raise SimplexError(
-            f"final basis is not feasible (min coordinate {x_full.min():.3e})"
-        )
-    x = np.clip(x_full[:n], 0.0, None)
+    h = _load_highs()
+    x = _solve_core(h, lp) if h is not None else _solve_linprog(lp)
+    x = np.clip(x, 0.0, None)
     return LPSolution(x, float(lp.c @ x))

@@ -180,51 +180,13 @@ class TestExitCodes:
         assert code == 4
         assert "LP failure" in err
 
-    @pytest.mark.parametrize("failing_call", [2, 3])
-    def test_singular_basis_in_any_simplex_solve_is_an_lp_failure(
-            self, capsys, monkeypatch, failing_call):
-        # A simplex iteration solves for the basic solution, then the duals
-        # (call 2), then the entering direction (call 3).  A singular basis
-        # in any of them is a breakdown of the LP, not an input error.
-        import numpy as np
-
-        real_solve = np.linalg.solve
-        calls = []
-
-        def solve(matrix, rhs):
-            calls.append(None)
-            if len(calls) >= failing_call:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(matrix, rhs)
-
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        code, out, err = run_cli(capsys, "refine", "--n", "30", "--m", "2",
-                                 "--zeta", "3", "--beta", "1e-6")
-        assert code == 4
-        assert out.startswith("lp_failure")
-        assert "Singular matrix" not in err
-
-    def test_refine_beyond_readme_sizes_ends_in_bounded_time(self, capsys,
-                                                              monkeypatch):
-        # This LP once ran the simplex into its pivot limit after minutes;
-        # it may end in lp_failure, but only on a real verdict.
-        import scencert.refinement as refinement_module
-        from scencert.simplex import LPError, lp_solve
-
-        errors = []
-
-        def recording(lp):
-            try:
-                return lp_solve(lp)
-            except LPError as exc:
-                errors.append(str(exc))
-                raise
-
-        monkeypatch.setattr(refinement_module, "lp_solve", recording)
-        code, out, _ = run_cli(capsys, "refine", "--n", "100", "--m", "20",
-                               "--zeta", "8", "--beta", "1e-6")
-        assert (code, out.split()[0]) in {(0, "converged"), (4, "lp_failure")}
-        assert not any("pivot limit" in error for error in errors)
+    @pytest.mark.parametrize("n, m, zeta", [(100, 20, 8), (200, 20, 10), (300, 30, 10)])
+    def test_refine_beyond_readme_sizes_ends_in_bounded_time(self, capsys, n, m, zeta):
+        # Sizes past the README examples, whose LPs are feasible only
+        # within thin margins; each must converge, not end in lp_failure.
+        code, out, _ = run_cli(capsys, "refine", "--n", str(n), "--m", str(m),
+                               "--zeta", str(zeta), "--beta", "1e-6")
+        assert (code, out.split()[0]) == (0, "converged")
 
 
 class TestFiles:

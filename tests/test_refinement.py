@@ -10,6 +10,7 @@ import pytest
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
 from scencert.posterior_bounds import _SignEvaluator
+import scencert.refinement as refinement
 from scencert.refinement import (
     RefinementError,
     build_refinement_lp,
@@ -17,7 +18,7 @@ from scencert.refinement import (
     refine,
 )
 from scencert.serialize import coefficients_json, parse_coefficients
-from scencert.simplex import lp_solve
+from scencert.simplex import LPSolution, lp_solve
 
 from helpers import exact_binom_cdf
 
@@ -186,6 +187,39 @@ class TestRefine:
             assert np.all(values >= 0.0)
             assert values.sum() == pytest.approx(1.0, abs=1e-9)
             assert values[p.zeta : p.n].sum() > 0.0
+
+    def test_invalid_candidate_ends_in_lp_failure(self, monkeypatch):
+        # The second solve returns weights with no mass on zeta..n-1.
+        p, a = fig_config()
+        first_step = refine(p, a, max_iter=1).final.table
+        calls = []
+
+        def second_solve_invalid(lp):
+            calls.append(None)
+            if len(calls) == 1:
+                return lp_solve(lp)
+            x = np.zeros(p.n + 1)
+            x[: p.zeta] = 1.0 / p.zeta
+            return LPSolution(x, float(lp.c @ x))
+
+        monkeypatch.setattr(refinement, "lp_solve", second_solve_invalid)
+        trace = refine(p, a)
+        assert trace.termination == "lp_failure"
+        assert len(trace.iterations) == 2
+        np.testing.assert_array_equal(trace.final.table.t, first_step.t)
+
+    def test_candidate_lowering_a_root_ends_in_lp_failure(self, monkeypatch):
+        # All mass on index 50 is a valid vector whose every root is lower
+        # than the uniform vector's.
+        p, a = fig_config()
+        x = np.zeros(p.n + 1)
+        x[50] = 1.0
+        monkeypatch.setattr(refinement, "lp_solve",
+                            lambda lp: LPSolution(x, float(lp.c @ x)))
+        trace = refine(p, a)
+        assert trace.termination == "lp_failure"
+        assert len(trace.iterations) == 1
+        np.testing.assert_array_equal(trace.final.table.t, bound_table(p, a, TOL).t)
 
     def test_trace_json_is_an_iteration_array(self):
         p = CertificateProblem(30, 2, 3, 1e-6)

@@ -1,15 +1,18 @@
-"""Dense LP solver against a brute-force vertex enumeration oracle."""
+"""LP solver against a brute-force vertex enumeration oracle."""
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from scencert import simplex
-from scencert.posterior_bounds import (
-    CertificateProblem,
-    CoefficientVector,
-    bound_table,
-)
-from scencert.refinement import build_refinement_lp
+from scencert.posterior_bounds import CertificateProblem, CoefficientVector
+from scencert.refinement import refine
 from scencert.simplex import (
     LinearProgram,
     LPInfeasibleError,
@@ -18,6 +21,14 @@ from scencert.simplex import (
 )
 
 from helpers import random_feasible_lp, vertex_optimum
+
+ROOT = Path(__file__).resolve().parent.parent
+# Older SciPy releases have no HiGHS module of this layout; lp_solve then
+# runs on linprog, and the tests of the main path have nothing to test.
+needs_highs_core = pytest.mark.skipif(
+    not any((Path(scipy.__file__).parent / "optimize" / "_highspy").glob("_core.*")),
+    reason="this SciPy has no optimize/_highspy/_core module",
+)
 
 
 def test_two_variable_toy():
@@ -86,7 +97,7 @@ def test_unconstrained_zero_objective():
 
 
 def test_degenerate_vertex_terminates():
-    # multiple rows tie at the same vertex; Bland fallback must finish
+    # multiple rows tie at the same vertex; the solver must finish
     lp = LinearProgram(
         np.array([1.0, 1.0, 0.0]),
         np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
@@ -127,52 +138,13 @@ def test_against_vertex_enumeration_oracle():
         solved += 1
 
 
-def _uniform_refinement_lp(n, m, zeta):
-    problem = CertificateProblem(n, m, zeta, 1e-6)
-    table = bound_table(problem, CoefficientVector.uniform(problem), 1e-10)
-    return build_refinement_lp(table, problem)
-
-
-def test_pivots_reset_stall_count(monkeypatch):
-    # A pivot that lowers the objective must reset the stall count, so
-    # that Dantzig's rule prices the refinement LP instead of Bland's.
-    # Dantzig's rule needs 65 basis solves on it; Bland's rule from the
-    # 31st pivot on needs 2442.
-    lp = _uniform_refinement_lp(100, 5, 8)
-    calls = []
-    solve = simplex._solve_basis
-
-    def counting(*args):
-        calls.append(None)
-        return solve(*args)
-
-    monkeypatch.setattr(simplex, "_solve_basis", counting)
-    lp_solve(lp)
-    assert len(calls) < 500
-
-
-def test_bland_rule_from_first_pivot(monkeypatch):
-    # At the default stall limit Bland's rule seldom prices a pivot; with
-    # no stall allowed it prices every one and must reach the same optima.
-    refinement_lp = _uniform_refinement_lp(100, 5, 8)
-    expected = lp_solve(refinement_lp).objective
-    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
-    assert lp_solve(refinement_lp).objective == pytest.approx(expected, abs=1e-9)
-    rng = np.random.default_rng(40)
-    for _ in range(25):
-        lp = random_feasible_lp(rng, int(rng.integers(2, 9)))
-        assert lp_solve(lp).objective == pytest.approx(vertex_optimum(lp), abs=1e-7)
-
-
-@pytest.mark.parametrize("stall_limit", [simplex._STALL_LIMIT, 0])
-def test_beale_cycling_example(monkeypatch, stall_limit):
+def test_beale_cycling_example():
     # Beale's example in Chvatal's form, which cycles under Dantzig's rule
     # with smallest-subscript ties in a dictionary simplex:
     #   max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4  s.t.
     #   1/4 x1 -  8 x2 -     x3 + 9 x4 <= 0
     #   1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0
     #                        x3        <= 1,   optimum 5/4 at x1 = x3 = 1.
-    monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
     lp = LinearProgram(
         np.array([0.75, -20.0, 0.5, -6.0]),
         -np.array([[0.25, -8.0, -1.0, 9.0],
@@ -185,3 +157,50 @@ def test_beale_cycling_example(monkeypatch, stall_limit):
     solution = lp_solve(lp)
     assert solution.objective == pytest.approx(1.25, abs=1e-12)
     assert solution.x == pytest.approx(np.array([1.0, 0.0, 1.0, 0.0]), abs=1e-12)
+
+
+def _oracle_lps():
+    rng = np.random.default_rng(40)
+    return [random_feasible_lp(rng, int(rng.integers(2, 9))) for _ in range(25)]
+
+
+def test_missing_highs_core_selects_the_fallback(monkeypatch):
+    monkeypatch.delitem(sys.modules, simplex._HIGHS_CORE, raising=False)
+    monkeypatch.setattr(simplex.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    assert simplex._load_highs.__wrapped__() is None
+
+
+def test_linprog_fallback_matches_the_core(monkeypatch):
+    core = [lp_solve(lp) for lp in _oracle_lps()]
+    problem = CertificateProblem(100, 5, 8, 1e-6)
+    initial = CoefficientVector.uniform(problem)
+    core_trace = refine(problem, initial, tol_root=1e-10)
+
+    monkeypatch.setattr(simplex, "_load_highs", lambda: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fallback = [lp_solve(lp) for lp in _oracle_lps()]
+        fallback_trace = refine(problem, initial, tol_root=1e-10)
+    for lp, a, b in zip(_oracle_lps(), core, fallback):
+        assert b.objective == pytest.approx(vertex_optimum(lp), abs=1e-7)
+        assert b.objective == pytest.approx(a.objective, abs=1e-9)
+    assert fallback_trace.termination == core_trace.termination == "converged"
+    assert np.abs(fallback_trace.final.table.t - core_trace.final.table.t).max() <= 2e-10
+
+
+@needs_highs_core
+def test_refine_never_imports_scipy_optimize():
+    # The HiGHS module is loaded by file path: importing scipy.optimize
+    # would add about 23 MB of resident memory to every refine run.
+    code = (
+        "import sys\n"
+        "from scencert.cli import main\n"
+        "code = main(['refine', '--n', '30', '--m', '2', '--zeta', '3', '--beta', '1e-6'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        f"assert {simplex._HIGHS_CORE!r} in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
