@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .binom_tail import log_binom_tails, log_sum_exp
+from .binom_tail import log_binom_tails
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
 # Largest number of log-terms a margin evaluation holds at once; a grid
@@ -134,38 +134,39 @@ class _SignEvaluator:
         self._max_m = int(self.m.max())
         self.log_beta = math.log(problem.beta)
         lg = gammaln(np.arange(n + 2, dtype=float))  # lg[x] = ln(x-1)!
-        js = np.arange(n + 1)
-        self._log_comb_n_k = np.empty(zeta + 1)
-        self._log_comb: list[np.ndarray] = []  # ln C(j, k), j = k..n
-        self._base: list[np.ndarray] = []  # ln(a_j C(j, k))
-        self._powers: list[np.ndarray] = []
-        for k in range(zeta + 1):
-            jk = js[k:]
-            self._log_comb_n_k[k] = lg[n + 1] - lg[k + 1] - lg[n - k + 1]
-            self._log_comb.append(lg[jk + 1] - lg[k + 1] - lg[jk - k + 1])
-            self._base.append(coeffs.log_values[k:] + self._log_comb[k])
-            self._powers.append((jk - k).astype(float))
+        ks, i = np.arange(zeta + 1)[:, None], np.arange(n + 1)
+        inside, j = ks + i <= n, np.minimum(ks + i, n)
+        self._log_comb_n_k = (lg[n + 1] - lg[ks + 1] - lg[n - ks + 1])[:, 0]
+        # ln C(j, k) and ln(a_j C(j, k)) at [k, j-k], -inf past j = n, so
+        # that every row k shares the powers t^0..t^n.
+        self._log_comb = np.where(inside, lg[j + 1] - lg[ks + 1] - lg[i + 1], -np.inf)
+        self._log_terms = np.where(inside, coeffs.log_values[j] + self._log_comb, -np.inf)
+        self._powers = i.astype(float)
 
-    def margin(self, t: np.ndarray, k: int, l: np.ndarray) -> np.ndarray:
+    def margin(self, t: np.ndarray, k, l: np.ndarray) -> np.ndarray:
         """ln of the weighted-polynomial side minus ln of the tail side,
-        for cells (k, l[i]) at roots t[i]; positive below the root,
-        negative above it.  Cells are evaluated in batches of at most
-        _BATCH_ELEMENTS log-terms so that long rows stay small in memory."""
-        t, l, m = np.asarray(t, dtype=float), np.asarray(l), self.m
-        step = max(1, _BATCH_ELEMENTS // (self.n - k + self._max_m + 2))
-        return np.concatenate([
-            self._margin(
-                t[s : s + step], k, l[s : s + step], m if m.ndim == 0 else m[s : s + step]
-            )
-            for s in range(0, t.size, step)
-        ])
+        for cells (k[i], l[i]) at roots t[i], where k and l broadcast;
+        positive below the root, negative above it.  Cells go in batches
+        of at most _BATCH_ELEMENTS log-terms, each cell spanning all n+1
+        terms, so no margin depends on which cells share its batch."""
+        t = np.asarray(t, dtype=float)
+        k, l, m = np.broadcast_arrays(k, l, self.m)
+        step = max(1, _BATCH_ELEMENTS // (self.n + self._max_m + 2))
+        batches = [slice(s, s + step) for s in range(0, t.size, step)]
+        return np.concatenate([self._margin(t[b], k[b], l[b], m[b]) for b in batches])
 
-    def _margin(self, t: np.ndarray, k: int, l: np.ndarray, m) -> np.ndarray:
+    def _margin(self, t: np.ndarray, k: np.ndarray, l: np.ndarray, m) -> np.ndarray:
+        # One buffer of log-terms, reduced in place as log_sum_exp would.
         log_t = np.log(t)
-        lhs = self.log_beta + log_sum_exp(self._base[k] + self._powers[k] * log_t[:, None])
+        buf = np.multiply.outer(log_t, self._powers)
+        buf += self._log_terms[k]
+        top = buf.max(axis=1, keepdims=True)
+        buf -= top
+        np.exp(buf, out=buf)
+        lhs = self.log_beta + (top[:, 0] + np.log(buf.sum(axis=1)))
         return lhs - self._tail_side(t, log_t, k, l, m)
 
-    def _tail_side(self, t, log_t, k: int, l, m) -> np.ndarray:
+    def _tail_side(self, t, log_t, k, l, m) -> np.ndarray:
         # ln(C(n, k) t^(n-k) B_m(1-t; l)); l == m gives B = 1, covering m == 0.
         log_tail = log_binom_tails(m, l, np.log1p(-t), log_t)
         return self._log_comb_n_k[k] + (self.n - k) * log_t + log_tail
@@ -176,8 +177,8 @@ class _SignEvaluator:
         j = k..n and tail[i] = ln(C(n, k) t[i]^(n-k) B_m(1-t[i]; l[i])), so
         the equation reads sum_j a_j exp(terms[i, j-k]) = exp(tail[i])."""
         t, l = np.asarray(t, dtype=float), np.asarray(l)
-        log_t = np.log(t)
-        terms = self.log_beta + self._log_comb[k] + self._powers[k] * log_t[:, None]
+        log_t, row = np.log(t), slice(0, self.n - k + 1)
+        terms = self.log_beta + self._log_comb[k, row] + self._powers[row] * log_t[:, None]
         return terms, self._tail_side(t, log_t, k, l, self.m)
 
 
@@ -212,10 +213,10 @@ def certificate_sign(
     return int(np.sign(_SignEvaluator(problem, coeffs).margin([t], k, [l])[0]))
 
 
-def _row_roots(ev: _SignEvaluator, k: int, l: np.ndarray, tol: float) -> np.ndarray:
-    # One cold bisection on [0, 1] for the cells (k, l[i]) together; the
+def _roots(ev: _SignEvaluator, k, l: np.ndarray, tol: float) -> np.ndarray:
+    # One cold bisection on [0, 1] for the cells (k[i], l[i]) together; the
     # margin is >= 0 at each lower end, so eps = 1 - lower is safe.
-    lower, _ = bisect(lambda t: ev.margin(t, k, l) >= 0.0, np.zeros(len(l)), 1.0, tol)
+    lower, _ = bisect(lambda t: ev.margin(t, k, l) >= 0.0, np.zeros(np.size(l)), 1.0, tol)
     return lower
 
 
@@ -227,7 +228,7 @@ def solve_root(
     tol: float = DEFAULT_TOL,
     m=None,
 ):
-    """Root t(k, l) in [0, 1): the one-cell case of a grid-row solve.
+    """Root t(k, l) in [0, 1): the one-cell case of the grid solve.
 
     Bisection starts from the whole interval [0, 1], keeps the sign
     positive at the lower end and negative at the upper end, and returns
@@ -236,10 +237,11 @@ def solve_root(
     certificate.  A root below ``tol`` is reported as 0.
 
     ``l`` may also be an array of cells with the one support count k,
-    solved in one array bisection in which each cell follows the
-    midpoint sequence it would follow alone.  Cell i then sees m[i]
-    validation trials (``problem.m`` by default), with
-    0 <= l[i] <= m[i] <= problem.m.  A scalar ``l`` returns a float.
+    solved in one array bisection through ``bound_table``'s ``margin``,
+    so each cell reports bit for bit the root it gets alone or in the
+    grid.  Cell i then sees m[i] validation trials (``problem.m`` by
+    default), with 0 <= l[i] <= m[i] <= problem.m.  A scalar ``l``
+    returns a float.
     """
     coeffs.validate_for(problem)
     check_tol(tol)
@@ -247,7 +249,7 @@ def solve_root(
     trials = problem.m if m is None else np.asarray(m)
     if np.any(np.less(l, 0) | np.greater(l, trials) | np.greater(trials, problem.m)):
         raise ValueError(f"require 0 <= l <= m <= {problem.m}, got l={l}, m={trials}")
-    roots = _row_roots(_SignEvaluator(problem, coeffs, m), k, np.atleast_1d(l), tol)
+    roots = _roots(_SignEvaluator(problem, coeffs, m), k, np.atleast_1d(l), tol)
     return float(roots[0]) if np.ndim(l) == 0 else roots
 
 
@@ -280,15 +282,14 @@ def bound_table(
 ) -> BoundTable:
     """Full (zeta+1) x (m+1) certificate grid.
 
-    Each row k is solved by one cold bisection on [0, 1] over all of its
-    cells at once; every cell follows the midpoint sequence ``solve_root``
-    follows for it alone and reports the same lower bracket end.
+    Every cell of the grid is solved in one cold bisection on [0, 1];
+    each follows the midpoint sequence ``solve_root`` follows for it
+    alone and reports the same lower bracket end, bit for bit.
     """
     coeffs.validate_for(problem)
     check_tol(tol)
-    ev = _SignEvaluator(problem, coeffs)
-    l = np.arange(problem.m + 1)
-    t = np.array([_row_roots(ev, k, l, tol) for k in range(problem.zeta + 1)])
+    k, l = np.indices((problem.zeta + 1, problem.m + 1)).reshape(2, -1)
+    t = _roots(_SignEvaluator(problem, coeffs), k, l, tol).reshape(problem.zeta + 1, -1)
     return BoundTable(problem, coeffs, tol, t, 1.0 - t)
 
 

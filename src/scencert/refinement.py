@@ -72,9 +72,10 @@ def dominance_check(
     is taken in logs at the stored root and may dip as far as the margin
     a root shift of four tolerances would produce (the log-margin slope
     is of order (n + m) / t, so that allowance is 4 (n + m) tol / t per
-    cell unless an explicit ``log_slack`` overrides it).  The aggregate
-    is true only if every cell holds, certifying that no root moves down
-    by more than a few root tolerances.
+    cell unless an explicit ``log_slack`` overrides it).  Every cell is
+    evaluated in one ``margin`` call.  The aggregate is true only if
+    every cell holds, certifying that no root moves down by more than a
+    few root tolerances.
     """
     if problem != table.problem:
         raise ValueError("table was built for a different problem")
@@ -88,10 +89,8 @@ def dominance_check(
         allowed = 4.0 * (problem.n + problem.m) * table.tol / t + 1e-10
     else:
         allowed = np.full(t.shape, log_slack)
-    l = np.arange(problem.m + 1)
-    cells = zero | np.array([
-        ev.margin(t[k], k, l) >= -allowed[k] for k in range(problem.zeta + 1)
-    ])
+    k, l = np.indices(t.shape).reshape(2, -1)
+    cells = zero | (ev.margin(t.ravel(), k, l).reshape(t.shape) >= -allowed)
     return cells, bool(cells.all())
 
 

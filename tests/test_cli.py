@@ -1,11 +1,13 @@
 """Command-line interface: values, files, determinism, exit codes."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
+from scencert import simplex
 from scencert.cli import main
 
 
@@ -208,6 +210,26 @@ class TestFiles:
                                  threads, "--output", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("args, digest", [
+        (("table", "--n", "100", "--m", "100", "--zeta", "18", "--beta", "1e-6"),
+         "a8773d3f643f5fd50c93c56d33bf7c5785a7bdf1d6be5b3589864f99111aab4f"),
+        pytest.param(
+            ("refine", "--n", "100", "--m", "10", "--zeta", "8", "--beta", "1e-6"),
+            "3e0aea4c824affeeac123e322bf49722f16193e3a44e53a12a87d8b3aacef919",
+            # The linprog fallback runs an older HiGHS, whose weights may
+            # differ in the last digits.
+            marks=pytest.mark.skipif(simplex._load_highs() is None,
+                                     reason="lp_solve runs on the linprog fallback"),
+        ),
+    ], ids=["table-100-100-18", "refine-100-10-8"])
+    def test_golden_output(self, capsys, tmp_path, args, digest):
+        # Any change to a root, a refinement step or the format changes
+        # these digests.
+        out_path = tmp_path / "out"
+        code, _, _ = run_cli(capsys, *args, "--output", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_table_requires_output(self):
         with pytest.raises(SystemExit) as info:

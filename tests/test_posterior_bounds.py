@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from scencert import posterior_bounds
 from scencert.classic_bounds import clopper_pearson
 from scencert.posterior_bounds import (
     CertificateProblem,
@@ -159,6 +160,20 @@ class TestSolveRoot:
             assert root == solve_root(2, int(li), cell, a, TOL)
         assert np.array_equal(solve_root(2, l, p, a, TOL), bound_table(p, a, TOL).t[2, l])
 
+    def test_margin_of_a_cell_does_not_depend_on_its_batch(self, monkeypatch):
+        # Mixed (k, l) cells in shuffled order, split across many batches,
+        # give bit for bit the margins of one-cell calls.
+        monkeypatch.setattr(posterior_bounds, "_BATCH_ELEMENTS", 700)
+        p, a = uniform_problem(60, 40, 12)
+        rng = np.random.default_rng(5)
+        k = rng.integers(0, p.zeta + 1, 500)
+        l = rng.integers(0, p.m + 1, 500)
+        t = rng.uniform(0.01, 0.99, 500)
+        ev = posterior_bounds._SignEvaluator(p, a)
+        together = ev.margin(t, k, l)
+        alone = [ev.margin([ti], ki, [li])[0] for ti, ki, li in zip(t, k, l)]
+        assert np.array_equal(together, alone)
+
 
 class TestBoundTable:
     def test_last_column_is_wait_and_judge(self):
@@ -166,7 +181,7 @@ class TestBoundTable:
         p, a = uniform_problem(50, 30, 10)
         table = bound_table(p, a, TOL)
         judged = wait_and_judge(p, a, TOL)
-        assert np.abs(table.eps[:, -1] - judged).max() <= 1e-8
+        assert np.array_equal(table.eps[:, -1], judged)
 
     def test_published_wait_and_judge_values(self):
         p, a = uniform_problem(500, 0, 18)
@@ -195,7 +210,7 @@ class TestBoundTable:
         p, a = uniform_problem(40, 5, 6)
         table = bound_table(p, a, TOL)
         judged = wait_and_judge(p, a, TOL)
-        assert np.abs(judged - table.eps[:, 5]).max() <= 1e-8
+        assert np.array_equal(judged, table.eps[:, 5])
 
 
 class TestIncrementalMonotonicity:

@@ -58,7 +58,7 @@ def test_grid_cells_equal_single_cell_roots(p):
     table = bound_table(p, a, TOL)
     for k in range(p.zeta + 1):
         for l in range(p.m + 1):
-            assert abs(table.t[k, l] - solve_root(k, l, p, a, TOL)) <= 2 * TOL
+            assert table.t[k, l] == solve_root(k, l, p, a, TOL)
 
 
 @property_settings
