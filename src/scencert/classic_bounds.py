@@ -4,8 +4,8 @@ Three bounds that certify the risk of a fixed decision from Bernoulli
 counts alone: the additive Chernoff bound, the exact Clopper-Pearson
 upper confidence limit, and the prior sample-size bound of the scenario
 approach.  The last two are roots of binomial tail equations found by
-``bisect``, the bisection routine every certificate root in the package
-goes through.
+``bisect``, the bracketing root kernel every certificate root in the
+package goes through.
 """
 
 from __future__ import annotations
@@ -41,27 +41,39 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"require finite {name} > 0, got {tol}")
 
 
-def bisect(below_root: Callable, lo, hi, tol: float):
-    """Final brackets (lo, hi), as float arrays, of an elementwise bisection.
+def bisect(value: Callable, size: int, tol: float):
+    """Final brackets (lo, hi), as float arrays, of ``size`` roots in [0, 1].
 
-    ``lo`` and ``hi`` are arrays of brackets that broadcast together;
-    ``below_root`` gets the array of midpoints and answers true below the
-    root and false above it, elementwise.  An end only moves to a midpoint
-    judged on its own side, so each caller reports the end it can certify.
-    Each element follows the midpoint sequence it would follow alone, and
-    halving stops once every bracket is narrower than ``tol`` or after
-    MAX_BISECT_ITER midpoints; the cap keeps a tolerance below the double
-    spacing at a root from spinning forever.
+    ``value(x, cells)`` is >= 0 below the roots of cells and < 0 or nan
+    above them, at x strictly inside their brackets; an end only moves to
+    a point judged on its side, so a caller reports the end it can
+    certify.  Each step evaluates only the open cells, at ITP points (k1 =
+    0.2, k2 = 2, n0 = 1; Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
+    bisection's grid of 2^-L, L its halving count for ``tol``: midpoints
+    until both ends are finite (0 and 1 count as +-inf), at most L + 1 in
+    all to one grid step, where bisection ends if the sign is monotone
+    there, or until no double lies inside, within MAX_BISECT_ITER steps.
     """
-    lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
-    for _ in range(MAX_BISECT_ITER):
-        open_ = hi - lo >= tol
-        if not open_.any():
+    spacing = 2.0 ** -next((j for j in range(MAX_BISECT_ITER) if 2.0**-j < tol), MAX_BISECT_ITER)
+    lo, hi = np.zeros(size), np.ones(size)
+    f_lo, f_hi = np.full(size, np.inf), np.full(size, -np.inf)
+    for step in range(MAX_BISECT_ITER):
+        cells = np.flatnonzero((hi - lo > spacing) & (np.nextafter(lo, 1.0) < hi))
+        if not cells.size:
             break
-        mid = 0.5 * (lo + hi)
-        below = below_root(mid)
-        lo = np.where(open_ & below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
+        a, b, f_a, f_b = lo[cells], hi[cells], f_lo[cells], f_hi[cells]
+        mid, width = 0.5 * (a + b), b - a
+        with np.errstate(invalid="ignore", over="ignore"):  # mid until ends are finite
+            falsi = np.where(np.isfinite(f_a - f_b), a + width * f_a / (f_a - f_b), mid)
+        side, trunc = np.sign(mid - falsi), 0.2 * width**2  # k1 * width^k2
+        x = np.where(trunc <= abs(mid - falsi), falsi + side * trunc, mid)
+        reach = 2.0**-step - 0.5 * width  # 2^(n0 - 1 - step) - width / 2
+        x = np.where(abs(x - mid) <= reach, x, mid - side * reach)
+        x = np.clip(np.round(x / spacing) * spacing, a + spacing, b - spacing)
+        x = np.clip(x, np.nextafter(a, 1.0), np.nextafter(b, 0.0))  # grid finer than doubles
+        below = (y := value(x, cells)) >= 0.0
+        lo[cells[below]], f_lo[cells[below]] = x[below], y[below]
+        hi[cells[~below]], f_hi[cells[~below]] = x[~below], y[~below]
     return lo, hi
 
 
@@ -93,21 +105,20 @@ def _binom_tail_root(n, m, beta: float, tol: float) -> np.ndarray:
     (0, 1) with B_n(x; m) = beta, for 0 <= m < n.
 
     The tail is strictly decreasing from 1 at x = 0 to 0 at x = 1, so
-    bisection converges unconditionally, and B_n(x; m) <= beta at the
-    returned end; the comparison runs in log space because beta is
+    the bracketing solve converges unconditionally, and B_n(x; m) <= beta
+    at the returned end; the comparison runs in log space because beta is
     typically ~1e-6.  ``n`` and ``m`` may be arrays, which are solved in
-    one bisection; the result has their broadcast shape.
+    one ``bisect`` call; the result has their broadcast shape.
     """
     check_tol(tol)
-    log_beta = math.log(beta)
+    log_beta_up = np.nextafter(math.log(beta), math.inf)  # v >= it iff v > ln beta
     n, m = np.broadcast_arrays(n, m)
     _, hi = bisect(
-        lambda x: np.greater(log_binom_cdf(n, m, x), log_beta),
-        np.zeros(m.shape),
-        1.0,
+        lambda x, cells: log_binom_cdf(n.flat[cells], m.flat[cells], x) - log_beta_up,
+        m.size,
         tol,
     )
-    return hi
+    return hi.reshape(m.shape)
 
 
 def clopper_pearson(m, l, beta: float, tol: float = DEFAULT_TOL):
@@ -118,7 +129,7 @@ def clopper_pearson(m, l, beta: float, tol: float = DEFAULT_TOL):
     reported x and the bound never falls below the exact one; at l == m
     the bound is vacuous and equals one exactly.  ``m`` and ``l`` may
     also be arrays that broadcast together: their bounds come from one
-    array bisection and equal the scalar calls elementwise.  Scalar
+    ``bisect`` call and equal the scalar calls elementwise.  Scalar
     inputs return a float.
     """
     if np.any(np.less(m, 1)):

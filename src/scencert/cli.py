@@ -208,7 +208,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
                             help="confidence level in (0, 1)")
     if "tol" in names:
         parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                            help="bisection tolerance on the root coordinate")
+                            help="width below which each root's final bracket stops")
     if "coeffs" in names:
         parser.add_argument("--coeffs", default="uniform",
                             help="'uniform' or a JSON coefficient file")

@@ -9,8 +9,8 @@ below the limit computed here: for k >= 1 it is the root in (0, 1) of
 with mixture weights z_j = C(n,k) C(m,j) / C(n+m,k+j) * k/(k+j), and at
 k = 0 the limit is identically zero.  ``lower_limit`` takes one cell or
 an array of cells, and ``lower_limit_table`` passes it the whole grid.
-It sums the mixture by parts, so that a bisection step over a run of
-cells is one log-sum-exp of ln pmf_i(eps) + ln W_i per cell.  The
+It sums the mixture by parts, so that a root-finding step over the open
+cells of a run is one log-sum-exp of ln pmf_i(eps) + ln W_i per cell.  The
 degenerate grid that attains the limit at one chosen cell is also
 provided, for use in tightness demonstrations.
 """
@@ -94,9 +94,9 @@ def lower_limit(
     W_i = sum_{j=max(0,i-k+1)}^{l} z_j, which do not depend on eps.  The
     cells with a root are sorted by k + l and cut into runs of at most
     _BATCH_ELEMENTS terms, each as wide as its largest k + l.  A run
-    builds its ln W when it starts and is solved in one array bisection
-    on [0, 1], in which each cell follows the midpoint sequence it would
-    follow alone.
+    builds its ln W when it starts and is solved in one ``bisect`` call
+    on [0, 1], whose steps evaluate only the run's open cells, and in
+    which each cell follows the sequence of points it would follow alone.
     """
     if np.any(np.less(k, 0) | np.greater(k, problem.zeta)):
         raise ValueError(f"require 0 <= k <= zeta={problem.zeta}, got k={k}")
@@ -111,6 +111,7 @@ def lower_limit(
     log_z = np.log([z_coefficients(problem.n, problem.m, int(kr)) for kr in ks])
     log_z = log_z.reshape(ks.size, problem.m + 1)
     log_beta = math.log(problem.beta)
+    log_beta_up = np.nextafter(log_beta, math.inf)  # v >= it iff v > ln beta
     log_total = np.logaddexp.accumulate(log_z, axis=1)[row, l[cells]]  # ln W_0
     degenerate[cells] = log_total <= log_beta
     live = np.flatnonzero(log_total > log_beta)
@@ -140,14 +141,14 @@ def lower_limit(
         log_w += log_comb[:terms]
         buf = np.empty_like(log_w)
 
-        def above_beta(x: np.ndarray) -> np.ndarray:
+        def log_excess(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
             # ln pmf_i = ln C(n+m, i) + (n+m) ln(1 - x) + i ln(x / (1 - x))
             log_1mx = np.log1p(-x)
-            log_terms = np.multiply(i[:terms], (np.log(x) - log_1mx)[:, None], out=buf)
-            log_terms += log_w
-            return log_sum_exp(log_terms) + n_total * log_1mx > log_beta
+            log_terms = np.multiply(i[:terms], (np.log(x) - log_1mx)[:, None], out=buf[: x.size])
+            log_terms += log_w[rows]
+            return log_sum_exp(log_terms) + n_total * log_1mx - log_beta_up
 
-        eps[cells[run]], _ = bisect(above_beta, np.zeros(len(log_w)), 1.0, tol)
+        eps[cells[run]], _ = bisect(log_excess, len(log_w), tol)
         start = run.stop
     if scalar:
         return LowerLimit(float(eps[0]), bool(degenerate[0]))
@@ -180,8 +181,8 @@ def lower_limit_table(
     """Lower limits for every cell (k, l).
 
     The whole grid is one array ``lower_limit`` call: its cells are cut
-    into runs in order of k + l, and each run is one array bisection on
-    [0, 1] in which every cell follows the midpoint sequence the scalar
+    into runs in order of k + l, and each run is one ``bisect`` call on
+    [0, 1] in which every cell follows the sequence of points the scalar
     call follows for it.
     """
     k, l = np.indices((problem.zeta + 1, problem.m + 1))

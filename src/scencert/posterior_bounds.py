@@ -11,13 +11,14 @@ and {a_j} is a nonnegative weight vector that sums to one and puts
 positive mass on indices zeta..n-1.  Dividing both sides by t^(n-k)
 makes the left side strictly decreasing and the right side strictly
 increasing on (0, 1), so the root exists, is unique, and is found by
-bisection on the sign of the difference.  Both sides are evaluated in
+``classic_bounds.bisect`` on the log difference.  Both sides are evaluated in
 log space: the rescaled polynomial contains t^(j-n) factors that
 overflow for plain evaluation once n reaches the thousands.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -214,10 +215,16 @@ def certificate_sign(
 
 
 def _roots(ev: _SignEvaluator, k, l: np.ndarray, tol: float) -> np.ndarray:
-    # One cold bisection on [0, 1] for the cells (k[i], l[i]) together; the
+    # One cold solve on [0, 1] for the cells (k[i], l[i]) together; the
     # margin is >= 0 at each lower end, so eps = 1 - lower is safe.
-    lower, _ = bisect(lambda t: ev.margin(t, k, l) >= 0.0, np.zeros(np.size(l)), 1.0, tol)
-    return lower
+    k, l, m = np.broadcast_arrays(k, l, ev.m)
+
+    def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        sub = copy.copy(ev)  # whose trial counts follow the open cells
+        sub.m = m[cells]
+        return sub.margin(t, k[cells], l[cells])
+
+    return bisect(margin, l.size, tol)[0]
 
 
 def solve_root(
@@ -230,18 +237,18 @@ def solve_root(
 ):
     """Root t(k, l) in [0, 1): the one-cell case of the grid solve.
 
-    Bisection starts from the whole interval [0, 1], keeps the sign
+    ``bisect`` starts from the whole interval [0, 1], keeps the sign
     positive at the lower end and negative at the upper end, and returns
-    the lower end of the first bracket narrower than ``tol``: the reported
+    the lower end of a final bracket narrower than ``tol``: the reported
     t is at most the true root, so eps = 1 - t never understates the
     certificate.  A root below ``tol`` is reported as 0.
 
     ``l`` may also be an array of cells with the one support count k,
-    solved in one array bisection through ``bound_table``'s ``margin``,
-    so each cell reports bit for bit the root it gets alone or in the
-    grid.  Cell i then sees m[i] validation trials (``problem.m`` by
-    default), with 0 <= l[i] <= m[i] <= problem.m.  A scalar ``l``
-    returns a float.
+    solved in one ``bisect`` call through ``bound_table``'s ``margin``;
+    a cell's points depend on its own margins alone, so it reports bit for
+    bit the root it gets alone or in the grid.  Cell i then sees m[i]
+    validation trials (``problem.m`` by default), with 0 <= l[i] <= m[i]
+    <= problem.m.  A scalar ``l`` returns a float.
     """
     coeffs.validate_for(problem)
     check_tol(tol)
@@ -282,9 +289,9 @@ def bound_table(
 ) -> BoundTable:
     """Full (zeta+1) x (m+1) certificate grid.
 
-    Every cell of the grid is solved in one cold bisection on [0, 1];
-    each follows the midpoint sequence ``solve_root`` follows for it
-    alone and reports the same lower bracket end, bit for bit.
+    One cold ``bisect`` call on [0, 1] solves every cell, each step only
+    the cells still open; each follows the points ``solve_root`` follows
+    for it alone and reports the same lower bracket end, bit for bit.
     """
     coeffs.validate_for(problem)
     check_tol(tol)

@@ -197,12 +197,18 @@ def incremental_json(steps) -> str:
 
 
 def write_output(path: str, text: str) -> None:
-    """Write text to ``path`` without ever leaving a partial file behind:
-    the content goes to a temporary sibling first and is renamed over the
-    target only once fully flushed."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".scencert-", suffix=".tmp")
+    """Write text to the file ``path`` resolves to, with the umask's mode,
+    by renaming a flushed temporary sibling over it, so no partial file is
+    ever left; a target that is not a regular file is written directly."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as handle:
+            handle.write(text)
+        return
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".scencert-", suffix=".tmp")
     try:
+        os.umask(umask := os.umask(0))  # read the umask, leaving it set
+        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

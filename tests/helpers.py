@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's log-space code paths:
 exact rational arithmetic for tail sums and mixture weights, plain
-linear-domain polynomial evaluation for root scans, and brute-force basis
-enumeration for linear programs.
+linear-domain polynomial evaluation for root scans, plain bisection for
+the root kernel, and brute-force basis enumeration for linear programs.
 """
 
 from fractions import Fraction
@@ -73,6 +73,18 @@ def scan_root(n: int, m: int, k: int, l: int, beta: float, a: np.ndarray,
     flips = np.nonzero(np.diff(signs) < 0)[0]
     assert flips.size == 1, f"expected one sign change, found {flips.size}"
     return float(0.5 * (t[flips[0]] + t[flips[0] + 1]))
+
+
+def reference_bisect(value, size: int, tol: float):
+    """Plain lockstep bisection on [0, 1] with ``bisect``'s value-function
+    API: every cell is evaluated at its bracket's midpoint until all
+    brackets are narrower than ``tol``.  Returns the final (lo, hi)."""
+    lo, hi, cells = np.zeros(size), np.ones(size), np.arange(size)
+    while (hi - lo >= tol).any():
+        mid = 0.5 * (lo + hi)
+        below = value(mid, cells) >= 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo, hi
 
 
 def vertex_optimum(lp: LinearProgram) -> float | None:

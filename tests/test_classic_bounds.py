@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_bisect
 from scencert.binom_tail import binom_cdf
 from scencert.classic_bounds import (
     MAX_BISECT_ITER,
@@ -15,24 +18,82 @@ from scencert.classic_bounds import (
 )
 
 
+def _halvings(tol: float) -> int:
+    # plain bisection's step count on [0, 1]: halve until narrower than tol
+    steps = 0
+    while 2.0**-steps >= tol:
+        steps += 1
+    return steps
+
+
+def _monotone_values(roots, slopes, family):
+    # Per-cell value functions whose sign test (>= 0) is a down-set in x:
+    # smooth, with an infinite slope at the root, saturating, with
+    # underflowing tails, infinite, and nan above the root.
+    def value(x, cells):
+        d, s = roots[cells] - x, slopes[cells]
+        return np.choose(family[cells], [
+            s * d + d**3,
+            np.cbrt(d),
+            np.tanh(s * d),
+            np.exp(-s * x) - np.exp(-s * roots[cells]),
+            np.where(d >= 0.0, np.inf, -np.inf),
+            np.where(d >= 0.0, s, np.nan),
+        ])
+
+    return value
+
+
+_cells = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.0, 1.0), st.integers(0, 1 << 12).map(lambda i: i / 4096)),
+        st.floats(1e-3, 1e3),
+        st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestBisect:
     def test_bracket_holds_root_and_is_narrower_than_tol(self):
         root = 1.0 / 3.0
-        lo, hi = bisect(lambda x: x <= root, 0.0, 1.0, 1e-10)
-        assert lo <= root < hi
-        assert hi - lo < 1e-10
+        lo, hi = bisect(lambda x, cells: root - x, 1, 1e-10)
+        assert lo[0] <= root < hi[0]
+        assert hi[0] - lo[0] < 1e-10
 
     def test_tolerance_below_double_spacing_stops_at_iteration_cap(self):
         calls = []
 
-        def below_root(x):
+        def value(x, cells):
             calls.append(x)
-            return x <= 1.0 / 3.0
+            return 1.0 / 3.0 - x
 
-        lo, hi = bisect(below_root, 0.0, 1.0, 1e-300)
-        assert len(calls) == MAX_BISECT_ITER
-        assert lo <= 1.0 / 3.0 < hi
-        assert hi - lo <= math.ulp(1.0 / 3.0)
+        lo, hi = bisect(value, 1, 1e-300)
+        assert len(calls) <= MAX_BISECT_ITER
+        assert lo[0] <= 1.0 / 3.0 < hi[0]
+        assert hi[0] - lo[0] <= math.ulp(1.0 / 3.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_cells, st.floats(-13.0, -3.0))
+    def test_ends_where_plain_bisection_ends(self, cells, log_tol):
+        # Same (lo, hi) as plain bisection for any sign that is monotone
+        # in x, with each point strictly inside (0, 1), only open cells
+        # evaluated, and at most one step more than bisection per cell.
+        roots, slopes, family = (np.array(c) for c in zip(*cells))
+        value, tol = _monotone_values(roots, slopes, family), 10.0**log_tol
+        steps = np.zeros(roots.size, dtype=int)
+
+        def counted(x, open_):
+            assert np.all((0.0 < x) & (x < 1.0))
+            assert np.unique(open_).size == open_.size
+            steps[open_] += 1
+            return value(x, open_)
+
+        lo, hi = bisect(counted, roots.size, tol)
+        ref_lo, ref_hi = reference_bisect(value, roots.size, tol)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert steps.max() <= _halvings(tol) + 1
 
 
 class TestChernoff:

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import shlex
+import stat
 from pathlib import Path
 
 import pytest
@@ -222,7 +224,16 @@ class TestFiles:
             marks=pytest.mark.skipif(simplex._load_highs() is None,
                                      reason="lp_solve runs on the linprog fallback"),
         ),
-    ], ids=["table-100-100-18", "refine-100-10-8"])
+        (("lower-limit", "--n", "100", "--m", "25", "--zeta", "10", "--beta", "1e-6"),
+         "832a610c3da366fabfc83ca5cb5a70a604c525480ab494fdbee753f941c4276c"),
+        # --output gets the same bytes that stdout shows
+        (("incremental", "--kind", "bounding-box", "--d", "2", "--n", "500",
+          "--m", "500", "--beta", "1e-6", "--seed", "42"),
+         "4ba68de4ca955e4497753ae0e482075b32b1f4eae0d88d0d9dede72144a39d34"),
+        (("table", "--n", "500", "--m", "500", "--zeta", "18", "--beta", "1e-6"),
+         "521d059bf5cdaacb88b4b4a987d6e0495a7cce7ea44d12e57f8700ade6a65577"),
+    ], ids=["table-100-100-18", "refine-100-10-8", "lower-limit-100-25-10",
+            "incremental-box2-500-500", "table-500-500-18"])
     def test_golden_output(self, capsys, tmp_path, args, digest):
         # Any change to a root, a refinement step or the format changes
         # these digests.
@@ -230,6 +241,46 @@ class TestFiles:
         code, _, _ = run_cli(capsys, *args, "--output", str(out_path))
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    LIMITS = ("lower-limit", "--n", "40", "--m", "4", "--zeta", "5", "--beta", "1e-6")
+
+    def _plain_output(self, capsys, tmp_path) -> bytes:
+        plain = tmp_path / "plain.csv"
+        assert run_cli(capsys, *self.LIMITS, "--output", str(plain))[0] == 0
+        return plain.read_bytes()
+
+    def test_output_through_symlink_keeps_the_link(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("")
+        link.symlink_to(target)
+        assert run_cli(capsys, *self.LIMITS, "--output", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == self._plain_output(capsys, tmp_path)
+
+    def test_output_into_fifo_reaches_its_reader(self, capsys, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open the FIFO, and the
+        # small output fits in the pipe's buffer.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli(capsys, *self.LIMITS, "--output", str(fifo))[0] == 0
+            received = b""
+            while chunk := os.read(reader, 1 << 16):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == self._plain_output(capsys, tmp_path)
+
+    def test_output_file_mode_follows_umask(self, capsys, tmp_path):
+        path = tmp_path / "limits.csv"
+        old = os.umask(0o027)
+        try:
+            assert run_cli(capsys, *self.LIMITS, "--output", str(path))[0] == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
 
     def test_table_requires_output(self):
         with pytest.raises(SystemExit) as info:

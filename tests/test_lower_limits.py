@@ -186,13 +186,18 @@ class TestLowerLimitRow:
         monkeypatch.setattr(lower_limits, "_BATCH_ELEMENTS", batch)
         runs = []
 
-        def bisect_spy(*args):
+        def bisect_spy(value, size, tol):
             runs.append([])
-            return bisect(*args)
+
+            def value_spy(x, cells):
+                runs[-1].append([cells])
+                return value(x, cells)
+
+            return bisect(value_spy, size, tol)
 
         def log_sum_exp_spy(log_terms):
             # cell (k, l) has k + l pmf terms; the padding beyond is -inf
-            runs[-1].append((np.isfinite(log_terms).sum(axis=1), log_terms.shape[1]))
+            runs[-1][-1] += [np.isfinite(log_terms).sum(axis=1), log_terms.shape[1]]
             return log_sum_exp(log_terms)
 
         monkeypatch.setattr(lower_limits, "bisect", bisect_spy)
@@ -201,19 +206,26 @@ class TestLowerLimitRow:
         assert np.array_equal(sliced.eps_lower, whole.eps_lower)
         assert np.array_equal(sliced.degenerate, whole.degenerate)
         # The grid's live cells, in order of k + l, are cut into runs with
-        # one bisection each: a run is as wide as its largest k + l and
-        # holds no more terms than the batch allows, unless it is one cell.
+        # one solve each: a run is as wide as its largest k + l and holds
+        # no more terms than the batch allows, unless it is one cell.
+        # Each call evaluates a subset of its run's cells, at that width.
         assert len(runs) > 1
         k, l = np.indices(whole.eps_lower.shape)
         live = (k >= 1) & ~whole.degenerate
-        seen = []
+        seen, shrank = [], False
         for calls in runs:
-            terms, width = calls[0]
-            assert all(np.array_equal(t, terms) and w == width for t, w in calls)
+            cells, terms, width = calls[0]
+            shrank |= calls[-1][0].size < cells.size
+            assert np.array_equal(cells, np.arange(terms.size))
+            for call_cells, call_terms, call_width in calls:
+                assert np.isin(call_cells, cells).all()
+                assert np.array_equal(call_terms, terms[call_cells])
+                assert call_width == width
             assert width == terms[-1]
             assert terms.size * width <= batch or terms.size == 1
             seen.extend(terms)
         assert np.array_equal(seen, np.sort((k + l)[live]))
+        assert shrank
 
 
 class TestLowerLimitTable:
