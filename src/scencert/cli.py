@@ -35,7 +35,7 @@ from .refinement import (
 )
 from .scenario_lab import (
     ToyScenarioProblem,
-    _run_seed,
+    _RunStreams,
     incremental_judgement,
     run_monte_carlo,
     solve_scenario,
@@ -171,7 +171,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_incremental(args) -> int:
     toy = _toy(args)
     cert = CertificateProblem(args.n, 0, toy.zeta, args.beta)
-    pts = toy.sample(_run_seed(args.seed, 0), args.n + args.m)
+    pts = toy.sample(next(_RunStreams(args.seed).generators(0, 1)), args.n + args.m)
     solution = solve_scenario(toy, pts[: args.n])
     steps = incremental_judgement(
         toy,

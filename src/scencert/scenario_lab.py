@@ -18,6 +18,8 @@ tractable family checks the machinery, not the family.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -228,12 +230,86 @@ class GapStatistics:
         return serialize.gap_stats_json(self)
 
 
-def _run_seed(master_seed: int, run: int) -> np.random.Generator:
-    # Counter-based split: child streams depend only on (master, index),
-    # never on scheduling order.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(run,))
-    )
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# A run index is one 32-bit spawn word; larger indices take two.
+_MAX_RUNS = 1 << 32
+
+
+def _hash_consts(init: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constant init * mult**j for j = 0..steps, as a uint32 column."""
+    consts = [init & _MASK32]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, step j on row j of ``values`` (uint32 arrays)."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> np.uint32(16)
+
+
+# generate_state(4, uint64) hashes eight words, cycling the pool twice.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+class _RunStreams:
+    """The audit's per-run streams, seeded as arrays and served by one generator.
+
+    Run i's stream is ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
+    bit for bit.  Its entropy is the seed's words, zero-padded to the
+    pool size 4, followed by the spawn word i.  Hashing the seed's words
+    ends in ``SeedSequence(seed).pool``, so only the spawn word's mixing,
+    the state generation and PCG64's seeding differ between runs.  Those
+    are done as uint32 arrays over a block of run indices, and each
+    run's state is then set on one reused PCG64 and Generator pair.
+    """
+
+    def __init__(self, master_seed: int):
+        # NumPy validates the seed and hashes its words into the pool.
+        seq = np.random.SeedSequence(entropy=master_seed)
+        words = max(1, -(-operator.index(seq.entropy).bit_length() // 32))
+        # mix(x, y) = MIX_MULT_L * x - MIX_MULT_R * y with x a pool word.
+        self._pool_terms = np.array(
+            [_MIX_MULT_L * int(word) & _MASK32 for word in seq.pool], dtype=np.uint32
+        )[:, None]
+        # Filling the pool and mixing all its pairs took 4 + 12 hashmix
+        # steps, and each seed word past the pool size 4 more; the spawn
+        # word takes the next 4.
+        steps = 16 + 4 * max(0, words - 4)
+        spawn_init = _INIT_A * pow(_MULT_A, steps, 1 << 32)
+        self._spawn_consts = _hash_consts(spawn_init, _MULT_A, 4)
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def generators(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        """The shared generator, set to each run's stream in [start, stop) in turn."""
+        if not 0 <= start <= stop <= _MAX_RUNS:
+            raise ValueError(f"run indices must lie in [0, 2**32), got [{start}, {stop})")
+        spawn = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+        mixed = self._pool_terms - _MIX_MULT_R * _hashmix(spawn, self._spawn_consts)
+        pool = mixed ^ mixed >> np.uint32(16)
+        words = _hashmix(np.concatenate([pool, pool]), _STATE_CONSTS).astype(np.uint64)
+        # Little-endian word pairs give the four 64-bit seed words; PCG64
+        # takes the first two as its initial state and the last two as
+        # its stream (pcg_setseq_128_srandom_r).
+        seeds = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+        for s_hi, s_lo, q_hi, q_lo in zip(*seeds):
+            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            self._bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield self._generator
 
 
 def run_monte_carlo(
@@ -255,9 +331,17 @@ def run_monte_carlo(
     shared across runs.  Runs are scored a block at a time, as arrays;
     the block size changes no record.  Identical ``master_seed`` gives a
     bit-identical record stream.
+
+    Run i's stream is bit-identical to
+    ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``.  It is
+    derived from the seed's ``SeedSequence`` pool: the spawn word i is
+    mixed in and PCG64 seeded as arrays over a block of run indices, and
+    each run's state is set on one reused generator.  The spawn word is
+    32 bits wide, so ``runs`` is at most 2**32.
     """
-    if runs < 1:
-        raise ValueError(f"require runs >= 1, got {runs}")
+    if not 1 <= runs <= _MAX_RUNS:
+        raise ValueError(f"require 1 <= runs <= 2**32, got {runs}")
+    streams = _RunStreams(master_seed)
     cert = CertificateProblem(n, m, problem.zeta, beta)
     if coeffs is None:
         coeffs = CoefficientVector.uniform(cert)
@@ -278,8 +362,8 @@ def run_monte_carlo(
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         pts = np.empty((stop - start, width, problem.dimension))
-        for row in range(stop - start):
-            _run_seed(master_seed, start + row).random(out=pts[row])
+        for row, rng in enumerate(streams.generators(start, stop)):
+            rng.random(out=pts[row])
         decision, first, tie[start:stop] = _extremes(problem, pts[:, :n])
         s[start:stop] = 1 + np.count_nonzero(np.diff(first, axis=-1), axis=-1)
         r[start:stop] = np.count_nonzero(_outside(problem, decision, pts[:, n:]), axis=-1)

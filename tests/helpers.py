@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's log-space code paths:
 exact rational arithmetic for tail sums and mixture weights, plain
 linear-domain polynomial evaluation for root scans, plain bisection for
-the root kernel, and brute-force basis enumeration for linear programs.
+the root kernel, brute-force basis enumeration for linear programs, and
+NumPy's own seeding for the Monte Carlo audit's per-run streams.
 """
 
 from fractions import Fraction
@@ -134,3 +135,8 @@ def random_feasible_lp(rng: np.random.Generator, n_vars: int) -> LinearProgram:
     b_eq = np.array([1.0])
     c = rng.normal(size=n_vars)
     return LinearProgram(c, a_ge, b_ge, a_eq, b_eq)
+
+
+def reference_run_rng(seed: int, run: int) -> np.random.Generator:
+    """Run ``run``'s stream of a Monte Carlo audit seeded with ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(run,)))

@@ -114,6 +114,13 @@ class TestExitCodes:
          "thread count"),
         (("refine", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
           "--tau", "2"), "tau"),
+        (("simulate", "--kind", "scalar-max", "--n", "5", "--m", "0",
+          "--beta", "1e-3", "--runs", str(2**32 + 1), "--seed", "0"), "runs"),
+        (("simulate", "--kind", "scalar-max", "--n", "5", "--m", "3",
+          "--beta", "1e-3", "--runs", "4", "--seed", "-1"),
+         "expected non-negative integer"),
+        (("incremental", "--kind", "scalar-max", "--n", "5", "--m", "3",
+          "--beta", "1e-3", "--seed", "-1"), "expected non-negative integer"),
     ])
     def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
                                             args, message):

@@ -19,7 +19,7 @@ from scencert.scenario_lab import (
     TrialRecord,
     _extremes,
     _outside,
-    _run_seed,
+    _RunStreams,
     count_validation_violations,
     incremental_judgement,
     run_monte_carlo,
@@ -28,6 +28,8 @@ from scencert.scenario_lab import (
     violation_probability,
 )
 from scencert.serialize import records_csv, records_jsonl
+
+from helpers import reference_run_rng
 
 
 def box(d):
@@ -178,7 +180,7 @@ def per_run_records(problem, n, m, beta, runs, seed):
     eta = clopper_pearson(m, np.arange(m + 1), beta) if m else None
     records = []
     for run in range(runs):
-        pts = problem.sample(_run_seed(seed, run), n + m)
+        pts = problem.sample(reference_run_rng(seed, run), n + m)
         solution = solve_scenario(problem, pts[:n])
         s = solution.support_count
         r = count_validation_violations(problem, solution, pts[n:])
@@ -192,7 +194,36 @@ def per_run_records(problem, n, m, beta, runs, seed):
     return records
 
 
+class TestRunStreams:
+    @pytest.mark.parametrize("bits", [0, 1, 32, 33, 65, 128, 129, 201])
+    # The benchmark's audit scores blocks of 65 runs: (61, 70) crosses one.
+    @pytest.mark.parametrize("start, stop", [(0, 5), (61, 70), (2**32 - 4, 2**32)],
+                             ids=["first", "straddling", "last"])
+    def test_equal_to_numpy_spawned_streams(self, bits, start, stop):
+        # Seeds of 1, 2, 3, 4, 5 and 7 words: below, at and beyond the pool
+        # size 4, past which the hash constant advances 4 more steps a word.
+        top = 1 << max(bits - 1, 0)
+        seed = 0 if bits == 0 else top | 0x5DEECE66D % top
+        assert seed.bit_length() == bits
+        streams = _RunStreams(seed).generators(start, stop)
+        got = [rng.bit_generator.random_raw(6).tolist() for rng in streams]
+        want = [reference_run_rng(seed, run).bit_generator.random_raw(6).tolist()
+                for run in range(start, stop)]
+        assert got == want
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (5, 4), (2**32 - 1, 2**32 + 1)])
+    def test_run_indices_outside_one_spawn_word_are_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="run indices"):
+            next(_RunStreams(0).generators(start, stop))
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("runs", [0, 2**32 + 1])
+    def test_run_count_outside_one_spawn_word_is_rejected(self, runs):
+        # Raised before anything is allocated: 2**32 + 1 runs never are.
+        with pytest.raises(ValueError, match="runs"):
+            run_monte_carlo(SCALAR, 5, 0, 1e-3, runs)
+
     @pytest.mark.parametrize(
         "problem, m",
         itertools.product([SCALAR, box(1), box(2), box(5)], [0, 6]),
