@@ -14,6 +14,14 @@ increasing on (0, 1), so the root exists, is unique, and is found by
 ``classic_bounds.bisect`` on the log difference.  Both sides are evaluated in
 log space: the rescaled polynomial contains t^(j-n) factors that
 overflow for plain evaluation once n reaches the thousands.
+
+The polynomial side costs O(support) per cell.  Equal weights a_j = a
+use the negative binomial identity
+
+    sum_{j=k}^{n} C(j, k) t^(j-k)  =  (1-t)^-(k+1) B_{n+1}(t; n-k),
+
+one more binomial tail from ``log_binom_tails``.  Any other vector is a
+max-shifted sum over its nonzero weights only.
 """
 
 from __future__ import annotations
@@ -28,8 +36,11 @@ from scipy.special import gammaln
 from .binom_tail import log_binom_tails
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
-# Largest number of log-terms a margin evaluation holds at once; a grid
-# row with more cells x terms than this is evaluated in slices.
+# Largest number of log-terms a margin evaluation holds at once: a cell
+# spans at most n + 1 of them, whether in the sum over the weights'
+# support or in the log-space fallback of either binomial tail (n + 1
+# terms on the uniform polynomial side, l + 1 <= m + 1 on the tail side).
+# More cells x terms than this are evaluated in slices.
 _BATCH_ELEMENTS = 1 << 16
 
 __all__ = [
@@ -134,21 +145,27 @@ class _SignEvaluator:
         self.m = np.asarray(problem.m if m is None else m)
         self._max_m = int(self.m.max())
         self.log_beta = math.log(problem.beta)
-        lg = gammaln(np.arange(n + 2, dtype=float))  # lg[x] = ln(x-1)!
-        ks, i = np.arange(zeta + 1)[:, None], np.arange(n + 1)
-        inside, j = ks + i <= n, np.minimum(ks + i, n)
+        self._lg = lg = gammaln(np.arange(n + 2, dtype=float))  # lg[x] = ln(x-1)!
+        ks = np.arange(zeta + 1)[:, None]
         self._log_comb_n_k = (lg[n + 1] - lg[ks + 1] - lg[n - ks + 1])[:, 0]
-        # ln C(j, k) and ln(a_j C(j, k)) at [k, j-k], -inf past j = n, so
-        # that every row k shares the powers t^0..t^n.
-        self._log_comb = np.where(inside, lg[j + 1] - lg[ks + 1] - lg[i + 1], -np.inf)
-        self._log_terms = np.where(inside, coeffs.log_values[j] + self._log_comb, -np.inf)
-        self._powers = i.astype(float)
+        values = coeffs.values
+        self._log_terms = self._powers = None
+        if np.all(values == values[0]):
+            self._log_a = float(coeffs.log_values[0])  # equal weights: closed form
+        else:
+            # ln(a_j C(j, k)) and j - k at [k, s] for the s-th nonzero
+            # weight a_j, -inf (power 0) where j < k.
+            j = np.flatnonzero(values)
+            i = np.maximum(j - ks, 0)
+            log_comb = lg[j + 1] - lg[ks + 1] - lg[i + 1]
+            self._log_terms = np.where(j >= ks, coeffs.log_values[j] + log_comb, -np.inf)
+            self._powers = i.astype(float)
 
     def margin(self, t: np.ndarray, k, l: np.ndarray) -> np.ndarray:
         """ln of the weighted-polynomial side minus ln of the tail side,
         for cells (k[i], l[i]) at roots t[i], where k and l broadcast;
         positive below the root, negative above it.  Cells go in batches
-        of at most _BATCH_ELEMENTS log-terms, each cell spanning all n+1
+        of at most _BATCH_ELEMENTS log-terms, each cell counted at n+1
         terms, so no margin depends on which cells share its batch."""
         t = np.asarray(t, dtype=float)
         k, l, m = np.broadcast_arrays(k, l, self.m)
@@ -157,19 +174,27 @@ class _SignEvaluator:
         return np.concatenate([self._margin(t[b], k[b], l[b], m[b]) for b in batches])
 
     def _margin(self, t: np.ndarray, k: np.ndarray, l: np.ndarray, m) -> np.ndarray:
-        # One buffer of log-terms, reduced in place as log_sum_exp would.
-        log_t = np.log(t)
-        buf = np.multiply.outer(log_t, self._powers)
+        log_t, log_1mt = np.log(t), np.log1p(-t)
+        lhs = self.log_beta + self._poly_side(log_t, log_1mt, k)
+        return lhs - self._tail_side(log_t, log_1mt, k, l, m)
+
+    def _poly_side(self, log_t, log_1mt, k) -> np.ndarray:
+        # ln(sum_j a_j C(j, k) t^(j-k)).
+        if self._log_terms is None:
+            tail = log_binom_tails(self.n + 1, self.n - k, log_t, log_1mt)
+            return self._log_a - (k + 1) * log_1mt + tail
+        # One buffer of support terms, reduced in place as log_sum_exp would.
+        buf = self._powers[k]
+        buf *= log_t[:, None]
         buf += self._log_terms[k]
         top = buf.max(axis=1, keepdims=True)
         buf -= top
         np.exp(buf, out=buf)
-        lhs = self.log_beta + (top[:, 0] + np.log(buf.sum(axis=1)))
-        return lhs - self._tail_side(t, log_t, k, l, m)
+        return top[:, 0] + np.log(buf.sum(axis=1))
 
-    def _tail_side(self, t, log_t, k, l, m) -> np.ndarray:
+    def _tail_side(self, log_t, log_1mt, k, l, m) -> np.ndarray:
         # ln(C(n, k) t^(n-k) B_m(1-t; l)); l == m gives B = 1, covering m == 0.
-        log_tail = log_binom_tails(m, l, np.log1p(-t), log_t)
+        log_tail = log_binom_tails(m, l, log_1mt, log_t)
         return self._log_comb_n_k[k] + (self.n - k) * log_t + log_tail
 
     def log_sides(self, t, k: int, l) -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +203,10 @@ class _SignEvaluator:
         j = k..n and tail[i] = ln(C(n, k) t[i]^(n-k) B_m(1-t[i]; l[i])), so
         the equation reads sum_j a_j exp(terms[i, j-k]) = exp(tail[i])."""
         t, l = np.asarray(t, dtype=float), np.asarray(l)
-        log_t, row = np.log(t), slice(0, self.n - k + 1)
-        terms = self.log_beta + self._log_comb[k, row] + self._powers[row] * log_t[:, None]
-        return terms, self._tail_side(t, log_t, k, l, self.m)
+        log_t, i = np.log(t), np.arange(self.n - k + 1)
+        log_comb = self._lg[k + i + 1] - self._lg[k + 1] - self._lg[i + 1]  # ln C(k+i, k)
+        terms = self.log_beta + log_comb + i * log_t[:, None]
+        return terms, self._tail_side(log_t, np.log1p(-t), k, l, self.m)
 
 
 def _check_support(problem: CertificateProblem, k: int) -> None:

@@ -1,17 +1,22 @@
 """Independent oracles used across the test suite.
 
 Everything here deliberately avoids the library's log-space code paths:
-exact rational arithmetic for tail sums and mixture weights, plain
-linear-domain polynomial evaluation for root scans, plain bisection for
-the root kernel, brute-force basis enumeration for linear programs, and
-NumPy's own seeding for the Monte Carlo audit's per-run streams.
+exact rational arithmetic for tail sums, mixture weights and the sign of
+the certificate equation, plain log-sum-exp over every term for the
+certificate margin, plain linear-domain polynomial evaluation for root
+scans, plain bisection for the root kernel, brute-force basis
+enumeration for linear programs, and NumPy's own seeding for the Monte
+Carlo audit's per-run streams.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.special import logsumexp
 
 from scencert.simplex import LinearProgram
 
@@ -47,6 +52,68 @@ def exact_z(n: int, m: int, k: int) -> list[Fraction]:
 def exact_lower_lhs(n: int, m: int, k: int, l: int, eps) -> Fraction:
     z = exact_z(n, m, k)
     return sum(z[j] * exact_binom_cdf(n + m, k + j - 1, eps) for j in range(l + 1))
+
+
+@lru_cache(maxsize=64)
+def _log_comb_row(n: int, k: int) -> np.ndarray:
+    """ln C(j, k) for j = 0..n (-inf below k), each from the exact integer."""
+    return np.array([math.log(comb(j, k)) if j >= k else -math.inf for j in range(n + 1)])
+
+
+@lru_cache(maxsize=64)
+def _log_comb_col(m: int) -> np.ndarray:
+    """ln C(m, i) for i = 0..m, each from the exact integer."""
+    return np.array([math.log(comb(m, i)) for i in range(m + 1)])
+
+
+def dense_margin(t, k, l, problem, coeffs) -> np.ndarray:
+    """ln(beta sum_{j=k}^{n} a_j C(j,k) t^(j-k)) minus
+    ln(C(n,k) t^(n-k) sum_{i<=l} C(m,i) (1-t)^i t^(m-i)) per cell, each
+    side one plain log-sum-exp over all of its terms."""
+    n, m = problem.n, problem.m
+    with np.errstate(divide="ignore"):
+        log_a = np.log(coeffs.values)
+    j, out = np.arange(n + 1), []
+    for ti, ki, li in zip(*np.broadcast_arrays(np.asarray(t, dtype=float), k, l)):
+        ki, li = int(ki), int(li)
+        log_t, log_1mt, i = math.log(ti), math.log1p(-ti), np.arange(li + 1)
+        poly = logsumexp(log_a + _log_comb_row(n, ki) + np.maximum(j - ki, 0) * log_t)
+        tail = logsumexp(_log_comb_col(m)[: li + 1] + i * log_1mt + (m - i) * log_t)
+        out.append(math.log(problem.beta) + poly
+                   - (math.log(comb(n, ki)) + (n - ki) * log_t + tail))
+    return np.array(out)
+
+
+def exact_certificate_sign(t, k: int, l: int, problem, coeffs) -> int:
+    """Sign of beta sum_j a_j C(j,k) t^(j-k) - C(n,k) t^(n-k) B_m(1-t; l)
+    in integer arithmetic, for a float t in (0, 1).
+
+    With t = P/D, beta = bn/bd and a_j = A_j / 2^E (every float weight is
+    a binary fraction, E their common exponent), both sides times
+    bd 2^E D^(n-k+m) are integers:
+    bn D^m sum_j A_j C(j,k) P^(j-k) D^(n-j) against
+    bd 2^E C(n,k) P^(n-k) sum_{i<=l} C(m,i) (D-P)^i P^(m-i),
+    each sum taken by a homogeneous Horner loop.
+    """
+    n, m = problem.n, problem.m
+    tf, bf = Fraction(t), Fraction(problem.beta)
+    p, d = tf.numerator, tf.denominator
+    weights = [Fraction(float(a)) for a in coeffs.values]
+    scale = max(w.denominator for w in weights)  # 2^E
+    big_a = [w.numerator * (scale // w.denominator) for w in weights]
+    # h = sum_{j=k}^{i} A_j C(j,k) P^(j-k) D^(i-j), from i = k up to n.
+    h, p_pow = 0, 1
+    for j in range(k, n + 1):
+        h = h * d + big_a[j] * comb(j, k) * p_pow
+        p_pow *= p
+    lhs = bf.numerator * d**m * h
+    # g = sum_{i<=l} C(m,i) (D-P)^i P^(l-i), from i = 0 up to l.
+    g, q_pow = 0, 1
+    for i in range(l + 1):
+        g = g * p + comb(m, i) * q_pow
+        q_pow *= d - p
+    rhs = bf.denominator * scale * comb(n, k) * p ** (n - k) * g * p ** (m - l)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def direct_h_values(t_grid: np.ndarray, n: int, m: int, k: int, l: int,

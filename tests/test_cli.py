@@ -7,10 +7,15 @@ import shlex
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scencert import simplex
 from scencert.cli import main
+from scencert.posterior_bounds import CertificateProblem, CoefficientVector, _SignEvaluator
+from scencert.serialize import parse_coefficients
+
+from helpers import dense_margin
 
 
 def readme_examples():
@@ -358,6 +363,38 @@ class TestFiles:
                                "--l", "1", "--coeffs", str(coeffs_path))
         assert code == 0
         assert abs(float(out) - refined_grid[2][1]) <= 1e-8
+
+
+class TestCoefficientFiles:
+    TABLE = ("table", "--n", "40", "--m", "6", "--zeta", "5", "--beta", "1e-6")
+
+    def _table(self, capsys, tmp_path, values):
+        coeffs_path, out_path = tmp_path / "coeffs.json", tmp_path / "out.csv"
+        coeffs_path.write_text(json.dumps(values))
+        code, _, _ = run_cli(capsys, *self.TABLE, "--coeffs", str(coeffs_path),
+                             "--output", str(out_path))
+        assert code == 0
+        problem = CertificateProblem(40, 6, 5, 1e-6)
+        coeffs = CoefficientVector(parse_coefficients(coeffs_path.read_text()), problem)
+        return out_path.read_bytes(), problem, coeffs
+
+    def test_equal_weights_take_the_closed_form(self, capsys, tmp_path):
+        out, problem, coeffs = self._table(capsys, tmp_path, [1.0 / 41] * 41)
+        assert _SignEvaluator(problem, coeffs)._log_terms is None
+        uniform_path = tmp_path / "uniform.csv"
+        assert run_cli(capsys, *self.TABLE, "--output", str(uniform_path))[0] == 0
+        assert out == uniform_path.read_bytes()
+
+    def test_one_zero_weight_takes_the_support_sum(self, capsys, tmp_path):
+        values = [1.0 / 40] * 41
+        values[17] = 0.0
+        _, problem, coeffs = self._table(capsys, tmp_path, values)
+        ev = _SignEvaluator(problem, coeffs)
+        assert ev._log_terms.shape == (6, 40)
+        rng = np.random.default_rng(3)
+        t, k, l = rng.uniform(0.0, 1.0, 100), rng.integers(0, 6, 100), rng.integers(0, 7, 100)
+        margin = ev.margin(t, k, l)
+        assert np.abs(margin - dense_margin(t, k, l, problem, coeffs)).max() <= 1e-11
 
 
 class TestSimulate:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from scencert import posterior_bounds
+from scencert import binom_tail, posterior_bounds
 from scencert.classic_bounds import clopper_pearson
 from scencert.posterior_bounds import (
     CertificateProblem,
@@ -16,8 +16,9 @@ from scencert.posterior_bounds import (
     solve_root,
     wait_and_judge,
 )
+from scencert.refinement import refine
 
-from helpers import scan_root
+from helpers import dense_margin, scan_root
 
 TOL = 1e-10
 
@@ -162,17 +163,52 @@ class TestSolveRoot:
 
     def test_margin_of_a_cell_does_not_depend_on_its_batch(self, monkeypatch):
         # Mixed (k, l) cells in shuffled order, split across many batches,
-        # give bit for bit the margins of one-cell calls.
+        # give bit for bit the margins of one-cell calls, for the uniform
+        # closed form and for a sparse vector's support sum.
         monkeypatch.setattr(posterior_bounds, "_BATCH_ELEMENTS", 700)
         p, a = uniform_problem(60, 40, 12)
         rng = np.random.default_rng(5)
         k = rng.integers(0, p.zeta + 1, 500)
         l = rng.integers(0, p.m + 1, 500)
         t = rng.uniform(0.01, 0.99, 500)
-        ev = posterior_bounds._SignEvaluator(p, a)
-        together = ev.margin(t, k, l)
-        alone = [ev.margin([ti], ki, [li])[0] for ti, ki, li in zip(t, k, l)]
-        assert np.array_equal(together, alone)
+        sparse = np.zeros(p.n + 1)
+        sparse[[3, 12, 20, 59]] = 0.25
+        for coeffs in (a, CoefficientVector(sparse, p)):
+            ev = posterior_bounds._SignEvaluator(p, coeffs)
+            together = ev.margin(t, k, l)
+            alone = [ev.margin([ti], ki, [li])[0] for ti, ki, li in zip(t, k, l)]
+            assert np.array_equal(together, alone)
+
+
+def assert_margins_match_dense_sum(p, a):
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, 1.0, 200)
+    k = rng.integers(0, p.zeta + 1, 200)
+    l = rng.integers(0, p.m + 1, 200)
+    margin = posterior_bounds._SignEvaluator(p, a).margin(t, k, l)
+    assert np.abs(margin - dense_margin(t, k, l, p, a)).max() <= 1e-11
+
+
+class TestMarginAgreement:
+    """The closed-form and support-only polynomial sides against one plain
+    log-sum-exp over all n + 1 terms, at random cells and points."""
+
+    @pytest.mark.parametrize("floor", [binom_tail._BETAINC_FLOOR, 1.0],
+                             ids=["betainc", "summed-tails"])
+    @pytest.mark.parametrize("n, m, zeta", [
+        (100, 100, 18), (500, 500, 18), (2000, 200, 10), (300, 30, 150), (60, 10, 55),
+    ])
+    def test_uniform_weights(self, monkeypatch, n, m, zeta, floor):
+        # A floor of 1 sends every tail, on both sides, to the summed route.
+        monkeypatch.setattr(binom_tail, "_BETAINC_FLOOR", floor)
+        assert_margins_match_dense_sum(*uniform_problem(n, m, zeta))
+
+    @pytest.mark.parametrize("n, m, zeta", [(100, 10, 8), (300, 30, 10), (500, 100, 18)])
+    def test_refined_weights(self, n, m, zeta):
+        p, a = uniform_problem(n, m, zeta)
+        refined = refine(p, a, TOL).iterations[-1].table.coefficients
+        assert np.count_nonzero(refined.values) < n
+        assert_margins_match_dense_sum(p, refined)
 
 
 class TestBoundTable:

@@ -1,6 +1,7 @@
 """Property tests on small random problems: the row-batched grid against
 single-cell roots, lower-limit rows against single-cell limits, every
-reported root on the safe side of its equation, grid monotonicity,
+reported root on the safe side of its equation (in floats and in exact
+arithmetic), the exact sign against the float one, grid monotonicity,
 dominance over the lower limits, the wait-and-judge column as the grid's
 ceiling, monotone refinement, and the batched incremental sequence
 against per-arrival solves."""
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_lower_lhs
+from helpers import exact_certificate_sign, exact_lower_lhs
 from scencert.binom_tail import log_binom_tails
 from scencert.classic_bounds import clopper_pearson
 from scencert.lower_limits import lower_limit, lower_limit_table
@@ -70,6 +71,36 @@ def test_grid_margin_is_nonnegative_at_reported_roots(p):
     for (k, l), root in np.ndenumerate(t):
         if root > 0.0:
             assert certificate_sign(root, k, l, p, a) >= 0, (k, l)
+
+
+def assert_roots_safe_in_exact_arithmetic(p, a):
+    t = bound_table(p, a, TOL).t
+    for (k, l), root in np.ndenumerate(t):
+        if root > 0.0:
+            assert exact_certificate_sign(root, k, l, p, a) >= 0, (k, l)
+
+
+@property_settings
+@given(problems())
+def test_uniform_roots_are_safe_in_exact_arithmetic(p):
+    assert_roots_safe_in_exact_arithmetic(p, CoefficientVector.uniform(p))
+
+
+@property_settings
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_dense_custom_roots_are_safe_in_exact_arithmetic(p, seed):
+    values = np.random.default_rng(seed).uniform(0.01, 1.0, p.n + 1)
+    assert_roots_safe_in_exact_arithmetic(p, CoefficientVector(values / values.sum(), p))
+
+
+@property_settings
+@given(problems(), st.floats(1e-3, 1.0 - 1e-3))
+def test_exact_sign_agrees_with_certificate_sign_away_from_roots(p, t):
+    a = CoefficientVector.uniform(p)
+    roots = bound_table(p, a, TOL).t
+    for (k, l), root in np.ndenumerate(roots):
+        if abs(t - root) > 1e-6:
+            assert exact_certificate_sign(t, k, l, p, a) == certificate_sign(t, k, l, p, a)
 
 
 @property_settings

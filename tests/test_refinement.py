@@ -20,7 +20,7 @@ from scencert.refinement import (
 from scencert.serialize import coefficients_json, parse_coefficients
 from scencert.simplex import LPSolution, lp_solve
 
-from helpers import exact_binom_cdf
+from helpers import exact_binom_cdf, exact_certificate_sign
 
 TOL = 1e-10
 
@@ -242,3 +242,16 @@ class TestRefine:
         table_orig = trace.final.table
         table_back = bound_table(p, reloaded, TOL)
         assert np.abs(table_back.eps - table_orig.eps).max() <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "refined weights make LP rows tight, so a root sits on its grid point: the "
+    "float margin there reads 0.0 while the exact one is slightly negative"))
+@pytest.mark.parametrize("n, m, zeta", [(100, 10, 8), (60, 8, 5)])
+def test_refined_roots_are_safe_in_exact_arithmetic(n, m, zeta):
+    # Known unsafe cells: (1, 5) and (3, 4) at (100, 10, 8), (0, 8) at (60, 8, 5).
+    p = CertificateProblem(n, m, zeta, 1e-6)
+    table = refine(p, CoefficientVector.uniform(p), TOL).iterations[-1].table
+    for (k, l), root in np.ndenumerate(table.t):
+        if root > 0.0:
+            assert exact_certificate_sign(root, k, l, p, table.coefficients) >= 0, (k, l)
