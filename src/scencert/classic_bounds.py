@@ -48,9 +48,9 @@ def bisect(value: Callable, size: int, tol: float):
     above them, at x strictly inside their brackets; an end only moves to
     a point judged on its side, so a caller reports the end it can
     certify.  Each step evaluates only the open cells, at ITP points (k1 =
-    0.2, k2 = 2, n0 = 1; Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
+    0.2, k2 = 2, n0 = 2; Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
     bisection's grid of 2^-L, L its halving count for ``tol``: midpoints
-    until both ends are finite (0 and 1 count as +-inf), at most L + 1 in
+    until both ends are finite (0 and 1 count as +-inf), at most L + 2 in
     all to one grid step, where bisection ends if the sign is monotone
     there, or until no double lies inside, within MAX_BISECT_ITER steps.
     """
@@ -67,7 +67,7 @@ def bisect(value: Callable, size: int, tol: float):
             falsi = np.where(np.isfinite(f_a - f_b), a + width * f_a / (f_a - f_b), mid)
         side, trunc = np.sign(mid - falsi), 0.2 * width**2  # k1 * width^k2
         x = np.where(trunc <= abs(mid - falsi), falsi + side * trunc, mid)
-        reach = 2.0**-step - 0.5 * width  # 2^(n0 - 1 - step) - width / 2
+        reach = 2.0 ** (1 - step) - 0.5 * width  # 2^(n0 - 1 - step) - width / 2, n0 = 2
         x = np.where(abs(x - mid) <= reach, x, mid - side * reach)
         x = np.clip(np.round(x / spacing) * spacing, a + spacing, b - spacing)
         x = np.clip(x, np.nextafter(a, 1.0), np.nextafter(b, 0.0))  # grid finer than doubles

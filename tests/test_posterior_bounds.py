@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from scencert import binom_tail, posterior_bounds
-from scencert.classic_bounds import clopper_pearson
+from scencert import binom_tail, lower_limits, posterior_bounds
+from scencert.classic_bounds import bisect, clopper_pearson
+from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import (
     CertificateProblem,
     CoefficientVector,
@@ -247,6 +248,52 @@ class TestBoundTable:
         table = bound_table(p, a, TOL)
         judged = wait_and_judge(p, a, TOL)
         assert np.array_equal(judged, table.eps[:, 5])
+
+
+def count_root_evals(monkeypatch):
+    """Replace the root kernel of both grid solvers with one that records
+    the evaluations per cell of each ``bisect`` call.  Every step evaluates
+    each cell still open, so the most per cell is the call's step count."""
+    solves = []
+
+    def counted(value, size, tol):
+        evals = np.zeros(size, dtype=int)
+        solves.append(evals)
+
+        def counted_value(x, cells):
+            evals[cells] += 1
+            return value(x, cells)
+
+        return bisect(counted_value, size, tol)
+
+    monkeypatch.setattr(posterior_bounds, "bisect", counted)
+    monkeypatch.setattr(lower_limits, "bisect", counted)
+    return solves
+
+
+class TestRootSteps:
+    """No cell stays locked into plain bisection's L + 1 = 35 points at the
+    default tolerance, so an array solve ends with its fastest cells.  The
+    bounds leave two steps over the counts seen with SciPy 1.17, for other
+    versions of ``betainc``."""
+
+    @pytest.mark.parametrize("n, m, zeta, most", [(100, 100, 18, 13), (500, 500, 18, 16)])
+    def test_paper_grids(self, monkeypatch, n, m, zeta, most):
+        solves = count_root_evals(monkeypatch)
+        bound_table(*uniform_problem(n, m, zeta), TOL)
+        [evals] = solves
+        assert evals.max() <= most
+
+    def test_cell_that_regula_falsi_approaches_from_one_side(self, monkeypatch):
+        solves = count_root_evals(monkeypatch)
+        solve_root(13, 41, *uniform_problem(100, 100, 18), TOL)
+        [evals] = solves
+        assert evals.max() <= 12
+
+    def test_lower_limit_grid(self, monkeypatch):
+        solves = count_root_evals(monkeypatch)
+        lower_limit_table(CertificateProblem(200, 400, 10, 1e-6), TOL)
+        assert max(evals.max() for evals in solves) <= 17
 
 
 class TestIncrementalMonotonicity:
