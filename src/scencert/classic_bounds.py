@@ -128,18 +128,20 @@ def clopper_pearson(m, l, beta: float, tol: float = DEFAULT_TOL):
     around the root of B_m(x; l) = beta, so B_m(x; l) <= beta at the
     reported x and the bound never falls below the exact one; at l == m
     the bound is vacuous and equals one exactly.  ``m`` and ``l`` may
-    also be arrays that broadcast together: their bounds come from one
-    ``bisect`` call and equal the scalar calls elementwise.  Scalar
-    inputs return a float.
+    also be arrays that broadcast together: the bounds of their l < m
+    cells come from one ``bisect`` call and equal the scalar calls
+    elementwise.  Scalar inputs return a float.
     """
     if np.any(np.less(m, 1)):
         raise ValueError(f"require m >= 1 validation samples, got m={m}")
     if np.any(np.less(l, 0) | np.greater(l, m)):
         raise ValueError(f"require 0 <= l <= m, got l={l}, m={m}")
     check_confidence(beta)
-    if np.ndim(m) == 0 and np.ndim(l) == 0:
-        return 1.0 if l == m else float(_binom_tail_root(m, l, beta, tol))
-    return np.where(np.equal(l, m), 1.0, _binom_tail_root(m, l, beta, tol))
+    m, l = np.broadcast_arrays(m, l)
+    below = l < m  # only these have a root; the rest are 1 exactly
+    eta = np.ones(l.shape)
+    eta[below] = _binom_tail_root(m[below], l[below], beta, tol)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def apriori_epsilon(n: int, zeta: int, beta: float, tol: float = DEFAULT_TOL) -> float:

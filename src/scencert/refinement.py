@@ -62,7 +62,6 @@ def dominance_check(
     candidate: CoefficientVector,
     table: BoundTable,
     problem: CertificateProblem,
-    log_slack: float | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Cellwise test that the candidate weights dominate the table.
 
@@ -72,10 +71,9 @@ def dominance_check(
     is taken in logs at the stored root and may dip as far as the margin
     a root shift of four tolerances would produce (the log-margin slope
     is of order (n + m) / t, so that allowance is 4 (n + m) tol / t per
-    cell unless an explicit ``log_slack`` overrides it).  Every cell is
-    evaluated in one ``margin`` call.  The aggregate is true only if
-    every cell holds, certifying that no root moves down by more than a
-    few root tolerances.
+    cell).  Every cell is evaluated in one ``margin`` call.  The
+    aggregate is true only if every cell holds, certifying that no root
+    moves down by more than a few root tolerances.
     """
     if problem != table.problem:
         raise ValueError("table was built for a different problem")
@@ -85,10 +83,7 @@ def dominance_check(
     # cell holds, and it is evaluated at a placeholder inside (0, 1).
     zero = table.t <= 0.0
     t = np.where(zero, 0.5, table.t)
-    if log_slack is None:
-        allowed = 4.0 * (problem.n + problem.m) * table.tol / t + 1e-10
-    else:
-        allowed = np.full(t.shape, log_slack)
+    allowed = 4.0 * (problem.n + problem.m) * table.tol / t + 1e-10
     k, l = np.indices(t.shape).reshape(2, -1)
     cells = zero | (ev.margin(t.ravel(), k, l).reshape(t.shape) >= -allowed)
     return cells, bool(cells.all())

@@ -1,8 +1,10 @@
 """Byte-stable text formats for tables, traces and Monte Carlo records.
 
-All floats are rendered with 12 significant digits through one formatter
-so that identical inputs always produce identical bytes; JSON documents
-with float payloads are assembled by hand for the same reason.
+Each writer names its columns and hands them to one of three renderers:
+``_csv`` (a header line, then one line per record), ``_objects`` (one
+JSON object per record) or ``_json`` (a whole document).  A column's
+format is chosen once, by its name, and each record is one ``%`` template
+over its columns, so identical inputs always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from operator import attrgetter, index
+
+import numpy as np
 
 __all__ = [
     "fmt",
@@ -28,82 +33,111 @@ __all__ = [
     "write_output",
 ]
 
+_REAL = "%.12g"  # fmt's rule; it equals format(x, ".12g") for every double
+# Columns printed by fmt's rule; any other column prints as str() does.  A
+# real column may hold None where it is undefined: empty in CSV, null in JSON.
+_REALS = frozenset({"t", "eps", "eps_lower", "v_true", "eps_sr", "eps_s", "eta",
+                    "chernoff", "mean_gap", "std_gap", "empirical_confidence",
+                    "frequency", "mean_r_over_m"})
+_RECORD_COLUMNS = ("run", "s", "r", "v_true", "eps_sr", "eps_s", "eta", "chernoff")
+_STEP_COLUMNS = ("m", "r", "eta", "eps")
+
 
 def fmt(x: float) -> str:
     """12-significant-digit rendering used for every emitted number."""
-    return format(float(x), ".12g")
+    return _REAL % float(x)
 
 
-def _opt(x) -> str:
-    return "" if x is None else fmt(x)
+def _cells(columns: dict, empty: str):
+    """Each column's template and the values it takes."""
+    for name, column in columns.items():
+        if name in _REALS and None in column:
+            yield "%s", [empty if v is None else _REAL % v for v in column]
+        else:
+            yield _REAL if name in _REALS else "%s", column
 
 
-def _opt_json(x) -> str:
-    return "null" if x is None else fmt(x)
+def _csv(columns: dict) -> str:
+    templates, values = zip(*_cells(columns, ""))
+    row = ",".join(templates) + "\n"
+    return ",".join(columns) + "\n" + "".join([row % cells for cells in zip(*values)])
 
 
-def _problem_json(problem) -> str:
-    return (
-        f'{{"n": {problem.n}, "m": {problem.m}, "zeta": {problem.zeta}, '
-        f'"beta": {fmt(problem.beta)}}}'
-    )
+def _objects(columns: dict) -> list[str]:
+    templates, values = zip(*_cells(columns, "null"))
+    obj = "{%s}" % ", ".join([f'"{name}": {t}' for name, t in zip(columns, templates)])
+    return [obj % cells for cells in zip(*values)]
+
+
+def _array(items) -> str:
+    return "[%s]" % ", ".join(items)
+
+
+def _json(value) -> str:
+    """A JSON document of dicts, lists and float arrays, whose other
+    leaves are strings (taken as JSON text), None, bools, ints and floats."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join([f"{json.dumps(k)}: {_json(v)}" for k, v in value.items()])
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        return "[%s]" % ", ".join([_REAL] * value.size) % tuple(value.tolist())
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return _array(map(_json, value))
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt(value)
+    return str(index(value))
+
+
+def _grid(**arrays) -> dict:
+    """Columns k and l, then the named (k, l) arrays, cell by cell in row-major order."""
+    first = next(iter(arrays.values()))
+    k, l = np.indices(first.shape).reshape(2, -1).tolist()
+    return {"k": k, "l": l, **{name: a.ravel().tolist() for name, a in arrays.items()}}
+
+
+def _columns(names: tuple[str, ...], rows) -> dict:
+    """Named columns of the rows, which hold values in the names' order."""
+    return dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
+
+
+def _problem(problem) -> dict:
+    return {"n": problem.n, "m": problem.m, "zeta": problem.zeta, "beta": float(problem.beta)}
 
 
 def table_csv(table) -> str:
-    lines = ["k,l,t,eps"]
-    zeta_rows, m_cols = table.t.shape
-    for k in range(zeta_rows):
-        for l in range(m_cols):
-            lines.append(f"{k},{l},{fmt(table.t[k, l])},{fmt(table.eps[k, l])}")
-    return "\n".join(lines) + "\n"
+    return _csv(_grid(t=table.t, eps=table.eps))
 
 
 def table_json(table) -> str:
-    cells = []
-    zeta_rows, m_cols = table.t.shape
-    for k in range(zeta_rows):
-        for l in range(m_cols):
-            cells.append(
-                f'{{"k": {k}, "l": {l}, "t": {fmt(table.t[k, l])}, '
-                f'"eps": {fmt(table.eps[k, l])}}}'
-            )
-    return (
-        f'{{"problem": {_problem_json(table.problem)}, '
-        f'"coefficients_scheme": {json.dumps(table.coefficients.scheme)}, '
-        f'"tol": {fmt(table.tol)}, '
-        f'"grid": [{", ".join(cells)}]}}\n'
-    )
+    return _json({
+        "problem": _problem(table.problem),
+        "coefficients_scheme": json.dumps(table.coefficients.scheme),
+        "tol": float(table.tol),
+        "grid": _array(_objects(_grid(t=table.t, eps=table.eps))),
+    }) + "\n"
 
 
 def lower_table_csv(table) -> str:
-    lines = ["k,l,eps_lower"]
-    zeta_rows, m_cols = table.eps_lower.shape
-    for k in range(zeta_rows):
-        for l in range(m_cols):
-            lines.append(f"{k},{l},{fmt(table.eps_lower[k, l])}")
-    return "\n".join(lines) + "\n"
+    return _csv(_grid(eps_lower=table.eps_lower))
 
 
 def lower_table_json(table) -> str:
-    cells = []
-    zeta_rows, m_cols = table.eps_lower.shape
-    for k in range(zeta_rows):
-        for l in range(m_cols):
-            degenerate = "true" if bool(table.degenerate[k, l]) else "false"
-            cells.append(
-                f'{{"k": {k}, "l": {l}, "eps_lower": {fmt(table.eps_lower[k, l])}, '
-                f'"degenerate": {degenerate}}}'
-            )
-    return (
-        f'{{"problem": {_problem_json(table.problem)}, '
-        f'"tol": {fmt(table.tol)}, '
-        f'"grid": [{", ".join(cells)}]}}\n'
-    )
+    degenerate = np.where(table.degenerate, "true", "false")
+    return _json({
+        "problem": _problem(table.problem),
+        "tol": float(table.tol),
+        "grid": _array(_objects(_grid(eps_lower=table.eps_lower, degenerate=degenerate))),
+    }) + "\n"
 
 
 def coefficients_json(values) -> str:
     """Coefficient file format: a bare JSON array of n+1 reals."""
-    return "[" + ", ".join(fmt(v) for v in values) + "]\n"
+    return _json(np.asarray(values, dtype=float)) + "\n"
 
 
 def parse_coefficients(text: str) -> list[float]:
@@ -116,84 +150,45 @@ def parse_coefficients(text: str) -> list[float]:
     return [float(v) for v in data]
 
 
-_RECORD_HEADER = "run,s,r,v_true,eps_sr,eps_s,eta,chernoff"
+def _records(records) -> dict:
+    return _columns(_RECORD_COLUMNS, map(attrgetter(*_RECORD_COLUMNS), records))
 
 
 def records_csv(records) -> str:
-    lines = [_RECORD_HEADER]
-    for rec in records:
-        lines.append(
-            f"{rec.run},{rec.s},{rec.r},{fmt(rec.v_true)},{fmt(rec.eps_sr)},"
-            f"{fmt(rec.eps_s)},{_opt(rec.eta)},{_opt(rec.chernoff)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(_records(records))
 
 
 def records_jsonl(records) -> str:
-    lines = []
-    for rec in records:
-        lines.append(
-            f'{{"run": {rec.run}, "s": {rec.s}, "r": {rec.r}, '
-            f'"v_true": {fmt(rec.v_true)}, "eps_sr": {fmt(rec.eps_sr)}, '
-            f'"eps_s": {fmt(rec.eps_s)}, "eta": {_opt_json(rec.eta)}, '
-            f'"chernoff": {_opt_json(rec.chernoff)}}}'
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(_objects(_records(records))) + "\n"
 
 
 def gap_stats_json(stats) -> str:
-    bound_parts = []
-    for name in stats.bound_names:
-        bound_parts.append(
-            f'{json.dumps(name)}: {{"mean_gap": {_opt_json(stats.mean_gap[name])}, '
-            f'"std_gap": {_opt_json(stats.std_gap[name])}, '
-            f'"empirical_confidence": {_opt_json(stats.empirical_confidence[name])}}}'
-        )
-    occ_parts = []
-    for s in sorted(stats.occurrences):
-        count, mean_ratio = stats.occurrences[s]
-        occ_parts.append(
-            f'{{"s": {s}, "count": {count}, '
-            f'"frequency": {fmt(count / stats.runs)}, '
-            f'"mean_r_over_m": {_opt_json(mean_ratio)}}}'
-        )
-    return (
-        f'{{"runs": {stats.runs}, '
-        f'"ties": {stats.ties}, '
-        f'"bounds": {{{", ".join(bound_parts)}}}, '
-        f'"occurrences": [{", ".join(occ_parts)}]}}\n'
-    )
+    bounds = _columns(("mean_gap", "std_gap", "empirical_confidence"), [
+        (stats.mean_gap[name], stats.std_gap[name], stats.empirical_confidence[name])
+        for name in stats.bound_names])
+    occurrences = _columns(("s", "count", "frequency", "mean_r_over_m"), [
+        (s, count, count / stats.runs, ratio)
+        for s, (count, ratio) in sorted(stats.occurrences.items())])
+    return _json({"runs": stats.runs, "ties": stats.ties,
+                  "bounds": dict(zip(stats.bound_names, _objects(bounds))),
+                  "occurrences": _array(_objects(occurrences))}) + "\n"
 
 
 def trace_json(trace) -> str:
     """Refinement trace format: a JSON array, one object per iteration."""
-    parts = []
-    for it in trace.iterations:
-        coeffs = ", ".join(fmt(v) for v in it.coefficients.values)
-        rows = []
-        for k in range(it.table.eps.shape[0]):
-            rows.append("[" + ", ".join(fmt(v) for v in it.table.eps[k]) + "]")
-        parts.append(
-            f'{{"iter": {it.index}, "coefficients": [{coeffs}], '
-            f'"eps_grid": [{", ".join(rows)}], '
-            f'"max_t_increase": {_opt_json(it.max_t_increase)}}}'
-        )
-    return "[" + ", ".join(parts) + "]\n"
+    return _json([
+        {"iter": it.index, "coefficients": it.coefficients.values,
+         "eps_grid": it.table.eps, "max_t_increase": it.max_t_increase}
+        for it in trace.iterations
+    ]) + "\n"
 
 
 def incremental_csv(steps) -> str:
-    lines = ["m,r,eta,eps"]
-    for step in steps:
-        lines.append(f"{step.m},{step.r},{_opt(step.eta)},{fmt(step.eps)}")
-    return "\n".join(lines) + "\n"
+    return _csv(_columns(_STEP_COLUMNS, steps))
 
 
 def incremental_json(steps) -> str:
-    parts = [
-        f'{{"m": {s.m}, "r": {s.r}, "eta": {_opt_json(s.eta)}, "eps": {fmt(s.eps)}}}'
-        for s in steps
-    ]
-    return "[" + ", ".join(parts) + "]\n"
+    return _array(_objects(_columns(_STEP_COLUMNS, steps))) + "\n"
 
 
 def write_output(path: str, text: str) -> None:

@@ -21,7 +21,10 @@ HiGHS with the same fixed options:
 - ``primal_feasibility_tolerance`` 1e-10;
 - ``simplex_scale_strategy`` 0: HiGHS applies its tolerances to the
   scaled model, so with scaling a zero weight could pass for the
-  refinement's mass floor of 1e-9.
+  refinement's mass floor of 1e-9;
+- ``small_matrix_value`` 1e-12, set before the model is passed: at the
+  default 1e-9 HiGHS dropped 37,051 entries of a (500, 500, 18)
+  refinement step's matrix, and the dual simplex then stalled.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 _PRIMAL_FEAS_TOL = 1e-10
+_SMALL_MATRIX_VALUE = 1e-12
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
@@ -175,7 +179,8 @@ def _solve_core(h, lp: LinearProgram) -> np.ndarray:
     highs = h._Highs()
     for name, value in (("output_flag", False), ("presolve", "off"),
                         ("primal_feasibility_tolerance", _PRIMAL_FEAS_TOL),
-                        ("simplex_scale_strategy", 0)):
+                        ("simplex_scale_strategy", 0),
+                        ("small_matrix_value", _SMALL_MATRIX_VALUE)):
         if highs.setOptionValue(name, value) == h.HighsStatus.kError:
             raise SimplexError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(model) == h.HighsStatus.kError:
@@ -193,14 +198,16 @@ def _solve_linprog(lp: LinearProgram) -> np.ndarray:
     from scipy.optimize import OptimizeWarning, linprog
 
     with warnings.catch_warnings():
-        # SciPy passes an option it does not name to HiGHS, and says so.
+        # SciPy passes the options it does not name to HiGHS, and says so.
         warnings.filterwarnings("ignore", r"Unrecognized options detected: "
-                                r"\{'simplex_scale_strategy'", OptimizeWarning)
+                                r"\{'(simplex_scale_strategy|small_matrix_value)'",
+                                OptimizeWarning)
         result = linprog(-lp.c, A_ub=-lp.a_ge, b_ub=-lp.b_ge, A_eq=lp.a_eq, b_eq=lp.b_eq,
                          bounds=(0.0, None), method="highs",
                          options={"disp": False, "presolve": False,
                                   "primal_feasibility_tolerance": _PRIMAL_FEAS_TOL,
-                                  "simplex_scale_strategy": 0})
+                                  "simplex_scale_strategy": 0,
+                                  "small_matrix_value": _SMALL_MATRIX_VALUE})
     if result.status == 0:
         return result.x
     error = {2: LPInfeasibleError, 3: LPUnboundedError}.get(result.status, SimplexError)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_bisect
+from scencert import classic_bounds
 from scencert.binom_tail import binom_cdf
 from scencert.classic_bounds import (
     MAX_BISECT_ITER,
@@ -147,6 +148,20 @@ class TestClopperPearson:
         table = clopper_pearson(100, np.arange(101), 1e-6)
         assert table.tolist() == [clopper_pearson(100, li, 1e-6) for li in range(101)]
         assert table[-1] == 1.0
+
+    def test_array_solves_only_cells_below_m(self, monkeypatch):
+        # The l == m cells are 1 exactly, so the root kernel never sees them.
+        sizes = []
+
+        def sized(value, size, tol):
+            sizes.append(size)
+            return bisect(value, size, tol)
+
+        monkeypatch.setattr(classic_bounds, "bisect", sized)
+        assert clopper_pearson(500, np.arange(501), 1e-6)[-1] == 1.0
+        m, l = np.array([1, 1, 2, 7, 7, 100]), np.array([0, 1, 1, 0, 7, 100])
+        assert clopper_pearson(m, l, 1e-6)[l == m].tolist() == [1.0, 1.0, 1.0]
+        assert sizes == [500, 3]
 
     def test_scalar_call_returns_float(self):
         assert type(clopper_pearson(40, 3, 1e-6)) is float

@@ -17,6 +17,11 @@ from scencert.serialize import parse_coefficients
 
 from helpers import dense_margin
 
+# The linprog fallback runs an older HiGHS, whose weights may differ in the
+# last digits.
+_ON_HIGHS_CORE = pytest.mark.skipif(simplex._load_highs() is None,
+                                    reason="lp_solve runs on the linprog fallback")
+
 
 def readme_examples():
     """The commands of the README's CLI block, continuation lines joined."""
@@ -225,32 +230,52 @@ class TestFiles:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    # Each case ends with the flag whose file is pinned.
     @pytest.mark.parametrize("args, digest", [
-        (("table", "--n", "100", "--m", "100", "--zeta", "18", "--beta", "1e-6"),
+        (("table", "--n", "100", "--m", "100", "--zeta", "18", "--beta", "1e-6", "--output"),
          "a8773d3f643f5fd50c93c56d33bf7c5785a7bdf1d6be5b3589864f99111aab4f"),
         pytest.param(
-            ("refine", "--n", "100", "--m", "10", "--zeta", "8", "--beta", "1e-6"),
+            ("refine", "--n", "100", "--m", "10", "--zeta", "8", "--beta", "1e-6", "--output"),
             "3e0aea4c824affeeac123e322bf49722f16193e3a44e53a12a87d8b3aacef919",
-            # The linprog fallback runs an older HiGHS, whose weights may
-            # differ in the last digits.
-            marks=pytest.mark.skipif(simplex._load_highs() is None,
-                                     reason="lp_solve runs on the linprog fallback"),
+            marks=_ON_HIGHS_CORE,
         ),
-        (("lower-limit", "--n", "100", "--m", "25", "--zeta", "10", "--beta", "1e-6"),
+        (("lower-limit", "--n", "100", "--m", "25", "--zeta", "10", "--beta", "1e-6",
+          "--output"),
          "832a610c3da366fabfc83ca5cb5a70a604c525480ab494fdbee753f941c4276c"),
         # --output gets the same bytes that stdout shows
         (("incremental", "--kind", "bounding-box", "--d", "2", "--n", "500",
-          "--m", "500", "--beta", "1e-6", "--seed", "42"),
+          "--m", "500", "--beta", "1e-6", "--seed", "42", "--output"),
          "4ba68de4ca955e4497753ae0e482075b32b1f4eae0d88d0d9dede72144a39d34"),
-        (("table", "--n", "500", "--m", "500", "--zeta", "18", "--beta", "1e-6"),
+        (("table", "--n", "500", "--m", "500", "--zeta", "18", "--beta", "1e-6", "--output"),
          "521d059bf5cdaacb88b4b4a987d6e0495a7cce7ea44d12e57f8700ade6a65577"),
+        (("table", "--n", "100", "--m", "100", "--zeta", "18", "--beta", "1e-6",
+          "--format", "json", "--output"),
+         "bb399b22acfb5b623f054277901634a7f2f1754a9c8f53b466d454380517bb18"),
+        (("lower-limit", "--n", "100", "--m", "25", "--zeta", "10", "--beta", "1e-6",
+          "--format", "json", "--output"),
+         "0340fc25fea91633d504a82ab4581fd8b9ea95cde0ed3b7310ad1ab977ed880e"),
+        # simulate writes JSON Lines for --format json
+        (("simulate", "--kind", "bounding-box", "--d", "3", "--n", "40", "--m", "25",
+          "--beta", "1e-6", "--runs", "300", "--seed", "7", "--format", "json", "--output"),
+         "5282e614cfb42b18fbaf9d5fcf8918d3d9984fcf0dca6bbc3221e0fcb4e1dc46"),
+        (("incremental", "--kind", "bounding-box", "--d", "2", "--n", "500",
+          "--m", "500", "--beta", "1e-6", "--seed", "42", "--format", "json", "--output"),
+         "50287c3196b3fd94061ce445d7cf811e604aadf4fa7b1f8599e6328d9a9f2040"),
+        pytest.param(
+            ("refine", "--n", "100", "--m", "10", "--zeta", "8", "--beta", "1e-6",
+             "--coeffs-out"),
+            "0732b9ddf39d8e185fcfdd62f87af65b9d5e9fc0c208fae575dfc82df4477212",
+            marks=_ON_HIGHS_CORE,
+        ),
     ], ids=["table-100-100-18", "refine-100-10-8", "lower-limit-100-25-10",
-            "incremental-box2-500-500", "table-500-500-18"])
+            "incremental-box2-500-500", "table-500-500-18", "table-json-100-100-18",
+            "lower-limit-json-100-25-10", "simulate-jsonl-box3-40-25",
+            "incremental-json-box2-500-500", "refine-coeffs-100-10-8"])
     def test_golden_output(self, capsys, tmp_path, args, digest):
         # Any change to a root, a refinement step or the format changes
         # these digests.
         out_path = tmp_path / "out"
-        code, _, _ = run_cli(capsys, *args, "--output", str(out_path))
+        code, _, _ = run_cli(capsys, *args, str(out_path))
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
