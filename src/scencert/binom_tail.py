@@ -41,6 +41,12 @@ _EXACT_FACTOR_LIMIT = 64
 # none between 1e-240 and 1e-60 off by 2e-13 relative for l from 40 to 1200.
 _BETAINC_FLOOR = 1e-200
 
+# Largest number of log-terms one array evaluation holds at once.  The
+# log-space tail sum here, a certificate margin evaluation, a lower-limit
+# run and an audit's sample block each take their elements in slices of
+# at most this many terms.
+_BATCH_ELEMENTS = 1 << 16
+
 
 def log_binom_coeff(n: int, k: int) -> float:
     """ln C(n, k) for integers 0 <= k <= n."""
@@ -107,17 +113,23 @@ def log_binom_tails(m, l, log_x, log_1mx):
 
 def _log_tails_by_sum(m, l, log_x, log_1mx):
     """ln B_m(x; l) for 1-d arrays, as a running log-add over the terms
-    ln C(m, i) + i ln x + (m - i) ln(1 - x), i = 0..l."""
-    i = np.arange(int(l.max()) + 1, dtype=float)
-    m = m[:, None].astype(float)
-    m_i = m - i
-    # Clipping m - i only keeps the coefficients of terms past an
-    # element's own m finite; no tail picked below reaches them.
-    log_comb = gammaln(m + 1.0) - gammaln(i + 1.0) - gammaln(np.maximum(m_i, 0.0) + 1.0)
-    terms = log_comb + i * log_x[:, None] + m_i * log_1mx[:, None]
-    # Every tail of an element from one running log-sum; keep the one at l.
-    tails = np.logaddexp.accumulate(terms, axis=-1)
-    return tails[np.arange(l.size), l]
+    ln C(m, i) + i ln x + (m - i) ln(1 - x), i = 0..l, taken for slices
+    of elements that hold at most _BATCH_ELEMENTS terms each."""
+    step = max(1, _BATCH_ELEMENTS // (int(l.max()) + 1))
+    out = np.empty(l.size)
+    for start in range(0, l.size, step):
+        b = slice(start, start + step)
+        i = np.arange(int(l[b].max()) + 1, dtype=float)
+        m_b = m[b, None].astype(float)
+        m_i = m_b - i
+        # Clipping m - i only keeps the coefficients of terms past an
+        # element's own m finite; no tail picked below reaches them.
+        log_comb = gammaln(m_b + 1.0) - gammaln(i + 1.0) - gammaln(np.maximum(m_i, 0.0) + 1.0)
+        terms = log_comb + i * log_x[b, None] + m_i * log_1mx[b, None]
+        # Every tail of an element from one running log-sum; keep the one at l.
+        tails = np.logaddexp.accumulate(terms, axis=-1)
+        out[b] = tails[np.arange(tails.shape[0]), l[b]]
+    return out
 
 
 def log_binom_cdf(n, m, t):

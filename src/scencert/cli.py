@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import serialize
 from ._parallel import resolve_threads
@@ -223,10 +224,13 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
                             help="uncertainty dimension")
     if "output" in names:
         parser.add_argument("--output", default=None, help="output file path")
+    if "format" in names:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="scencert",
         description="A posteriori certificates for convex scenario programs",
@@ -254,13 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("table", help="full certificate grid to a file")
-    _add_common(p, "n", "m", "zeta", "beta", "tol", "coeffs", "threads", "output")
+    _add_common(p, "n", "m", "zeta", "beta", "tol", "coeffs", "threads")
+    # a grid goes to a file; on stdout it would mix with diagnostics
+    p.add_argument("--output", required=True, help="output file path")
+    _add_common(p, "format")
     p.set_defaults(func=_cmd_table)
-    # table requires a destination; stdout would mix with diagnostics
-    p.set_defaults(_require_output=True)
 
     p = sub.add_parser("lower-limit", help="fundamental lower limits")
-    _add_common(p, "n", "m", "zeta", "beta", "tol", "output")
+    _add_common(p, "n", "m", "zeta", "beta", "tol", "output", "format")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.set_defaults(func=_cmd_lower_limit)
@@ -277,14 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("simulate", help="Monte Carlo audit on a toy problem")
-    _add_common(p, "kind", "n", "m", "beta", "tol", "coeffs", "threads", "output")
+    _add_common(p, "kind", "n", "m", "beta", "tol", "coeffs", "threads", "output",
+                "format")
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_simulate)
-    p.set_defaults(_records_format=True)
 
     p = sub.add_parser("incremental", help="certificates as samples arrive")
-    _add_common(p, "kind", "n", "m", "beta", "tol", "coeffs", "output")
+    _add_common(p, "kind", "n", "m", "beta", "tol", "coeffs", "output", "format")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_incremental)
 
@@ -292,12 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "_require_output", False) and args.output is None:
-        parser.error("--output is required for this subcommand")
-    if getattr(args, "_records_format", False) and args.format == "json":
-        args.format = "jsonl"  # record streams are line-oriented
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", None) is not None:
             resolve_threads(args.threads)

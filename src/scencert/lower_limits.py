@@ -24,13 +24,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .binom_tail import log_sum_exp
+from .binom_tail import _BATCH_ELEMENTS, log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_tol
-from .posterior_bounds import (
-    _BATCH_ELEMENTS,
-    CertificateProblem,
-    _check_cell,
-)
+from .posterior_bounds import CertificateProblem, _check_cell
 
 __all__ = [
     "z_coefficients",

@@ -33,15 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .binom_tail import log_binom_tails
+from .binom_tail import _BATCH_ELEMENTS, log_binom_tails
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
-
-# Largest number of log-terms a margin evaluation holds at once: a cell
-# spans at most n + 1 of them, whether in the sum over the weights'
-# support or in the log-space fallback of either binomial tail (n + 1
-# terms on the uniform polynomial side, l + 1 <= m + 1 on the tail side).
-# More cells x terms than this are evaluated in slices.
-_BATCH_ELEMENTS = 1 << 16
 
 __all__ = [
     "CertificateProblem",

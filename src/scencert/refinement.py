@@ -11,7 +11,6 @@ toward the Pareto boundary of the family.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +42,10 @@ DEFAULT_TAU = 1e-9
 DEFAULT_TOL_CONVERGE = 1e-9
 DEFAULT_MAX_ITER = 50
 
-# Rows contain t^(j - n); above this n they are hopeless even after
-# scaling, and past the hard cap we refuse instead of emitting garbage.
-_CONDITION_WARN_N = 500
+# Rows contain t^(j - n); past this n refinement refuses to start.  Below
+# it the LP's accuracy affects only how far a step raises the roots: every
+# reported grid comes from bound_table on a validated vector, and a step
+# that lowers a root ends the run in lp_failure.
 _CONDITION_REFUSE_N = 5000
 
 
@@ -95,6 +95,14 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"require tau <= 1, the total mass, got {tau}")
 
 
+def _check_size(problem: CertificateProblem) -> None:
+    if problem.n > _CONDITION_REFUSE_N:
+        raise ValueError(
+            f"refinement rows are numerically meaningless for n={problem.n} "
+            f"(> {_CONDITION_REFUSE_N})"
+        )
+
+
 def build_refinement_lp(
     table: BoundTable,
     problem: CertificateProblem,
@@ -116,18 +124,7 @@ def build_refinement_lp(
     if problem != table.problem:
         raise ValueError("table was built for a different problem")
     _check_tau(tau)
-    if problem.n > _CONDITION_REFUSE_N:
-        raise ValueError(
-            f"refinement rows are numerically meaningless for n={problem.n} "
-            f"(> {_CONDITION_REFUSE_N})"
-        )
-    if problem.n > _CONDITION_WARN_N:
-        warnings.warn(
-            f"refinement LP rows are ill-conditioned for n={problem.n} "
-            f"(> {_CONDITION_WARN_N}); results may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _check_size(problem)
     n = problem.n
     ev = _SignEvaluator(problem, table.coefficients)
     rows, rhs = [], []
@@ -216,11 +213,7 @@ def refine(
         raise ValueError(f"require max_iter >= 1, got {max_iter}")
     check_tol(tol_converge, "tol_converge")
     _check_tau(tau)
-    if problem.n > _CONDITION_REFUSE_N:
-        raise ValueError(
-            f"refinement rows are numerically meaningless for n={problem.n} "
-            f"(> {_CONDITION_REFUSE_N})"
-        )
+    _check_size(problem)
     initial.validate_for(problem)
     coeffs = initial
     table = bound_table(problem, coeffs, tol_root)

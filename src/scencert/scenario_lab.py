@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .binom_tail import _BATCH_ELEMENTS
 from .classic_bounds import DEFAULT_TOL, chernoff_bound, clopper_pearson
 from .posterior_bounds import (
-    _BATCH_ELEMENTS,
     CertificateProblem,
     CoefficientVector,
     bound_table,

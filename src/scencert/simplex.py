@@ -49,8 +49,13 @@ __all__ = [
     "lp_solve",
 ]
 
-_PRIMAL_FEAS_TOL = 1e-10
-_SMALL_MATRIX_VALUE = 1e-12
+# The HiGHS options both paths pass; each adds its own spelling of the
+# output and presolve switches.
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "simplex_scale_strategy": 0,
+    "small_matrix_value": 1e-12,
+}
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
@@ -177,10 +182,7 @@ def _solve_core(h, lp: LinearProgram) -> np.ndarray:
     matrix.start_, matrix.index_, matrix.value_ = _rowwise(lp.a_ge, lp.a_eq)
 
     highs = h._Highs()
-    for name, value in (("output_flag", False), ("presolve", "off"),
-                        ("primal_feasibility_tolerance", _PRIMAL_FEAS_TOL),
-                        ("simplex_scale_strategy", 0),
-                        ("small_matrix_value", _SMALL_MATRIX_VALUE)):
+    for name, value in {"output_flag": False, "presolve": "off", **_HIGHS_OPTIONS}.items():
         if highs.setOptionValue(name, value) == h.HighsStatus.kError:
             raise SimplexError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(model) == h.HighsStatus.kError:
@@ -199,15 +201,12 @@ def _solve_linprog(lp: LinearProgram) -> np.ndarray:
 
     with warnings.catch_warnings():
         # SciPy passes the options it does not name to HiGHS, and says so.
-        warnings.filterwarnings("ignore", r"Unrecognized options detected: "
-                                r"\{'(simplex_scale_strategy|small_matrix_value)'",
+        names = "|".join(_HIGHS_OPTIONS)
+        warnings.filterwarnings("ignore", rf"Unrecognized options detected: \{{'({names})'",
                                 OptimizeWarning)
         result = linprog(-lp.c, A_ub=-lp.a_ge, b_ub=-lp.b_ge, A_eq=lp.a_eq, b_eq=lp.b_eq,
                          bounds=(0.0, None), method="highs",
-                         options={"disp": False, "presolve": False,
-                                  "primal_feasibility_tolerance": _PRIMAL_FEAS_TOL,
-                                  "simplex_scale_strategy": 0,
-                                  "small_matrix_value": _SMALL_MATRIX_VALUE})
+                         options={"disp": False, "presolve": False, **_HIGHS_OPTIONS})
     if result.status == 0:
         return result.x
     error = {2: LPInfeasibleError, 3: LPUnboundedError}.get(result.status, SimplexError)

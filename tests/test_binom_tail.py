@@ -1,12 +1,14 @@
 """Binomial tail kernel against exact integer and rational oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scipy.special import betainc
 
+from scencert import binom_tail
 from scencert.binom_tail import (
     _BETAINC_FLOOR,
     binom_cdf,
@@ -15,6 +17,9 @@ from scencert.binom_tail import (
     log_binom_tails,
     log_sum_exp,
 )
+
+from scencert.classic_bounds import clopper_pearson
+from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
 
 from helpers import exact_binom_cdf
 
@@ -162,6 +167,36 @@ class TestLogBinomTails:
         single = [float(_tails(int(mi), int(li), float(xi))) for mi, li, xi in zip(mm, l, x)]
         assert np.array_equal(row, single)
         assert np.all(np.isfinite(row)) and np.all(row <= 0.0)
+
+
+class TestLogSpaceSumMemory:
+    def test_clopper_pearson_row_stays_small(self):
+        # Its deep tails once built 3,501 x 3,501 term arrays (77 MB traced).
+        tracemalloc.start()
+        try:
+            clopper_pearson(5000, np.arange(5001), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_slices_do_not_change_a_bit(self, monkeypatch):
+        l = np.arange(3001)
+        problem = CertificateProblem(30, 1000, 4, 1e-6)  # reaches the log-space sum
+        coeffs = CoefficientVector.uniform(problem)
+        bounds, grid = clopper_pearson(3000, l, 1e-6), bound_table(problem, coeffs).t
+        widest = []
+        summed = binom_tail._log_tails_by_sum
+
+        def spy(m, l, log_x, log_1mx):
+            widest.append(l.size * (int(l.max()) + 1))
+            return summed(m, l, log_x, log_1mx)
+
+        monkeypatch.setattr(binom_tail, "_log_tails_by_sum", spy)
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", 64)
+        assert np.array_equal(clopper_pearson(3000, l, 1e-6), bounds)
+        assert np.array_equal(bound_table(problem, coeffs).t, grid)
+        assert max(widest) > 64
 
 
 class TestBinomCdf:

@@ -1,5 +1,6 @@
 """Command-line interface: values, files, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -37,6 +38,17 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    args = ("cp", "--m", "20", "--l", "2", "--beta", "1e-6")
+    first = run_cli(capsys, *args)
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *a, **kw: added.append(a) or add_argument(self, *a, **kw))
+    assert run_cli(capsys, *args) == first
+    assert added == []
 
 
 class TestPointQueries:
@@ -95,6 +107,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_refine_takes_no_format(self, capsys):
+        # refine always writes its JSON trace; --format is an unknown flag
+        with pytest.raises(SystemExit) as info:
+            main(["refine", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
+                  "--format", "csv"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_domain_error_is_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "apriori", "--n", "10", "--zeta", "10",
@@ -201,7 +221,8 @@ class TestExitCodes:
         assert code == 4
         assert "LP failure" in err
 
-    @pytest.mark.parametrize("n, m, zeta", [(100, 20, 8), (200, 20, 10), (300, 30, 10)])
+    @pytest.mark.parametrize("n, m, zeta", [(100, 20, 8), (200, 20, 10), (300, 30, 10),
+                                            (500, 200, 18)])
     def test_refine_beyond_readme_sizes_ends_in_bounded_time(self, capsys, n, m, zeta):
         # Sizes past the README examples, whose LPs are feasible only
         # within thin margins; each must converge, not end in lp_failure.

@@ -104,18 +104,13 @@ class TestBuildRefinementLp:
             with pytest.raises(ValueError, match="tau"):
                 refine(p, a, tau=tau)
 
-    def test_conditioning_warning_above_threshold(self):
-        p = CertificateProblem(600, 0, 2, 1e-6)
-        a = CoefficientVector.uniform(p)
-        table = bound_table(p, a, TOL)
-        with pytest.warns(RuntimeWarning):
-            build_refinement_lp(table, p)
-
     def test_refusal_above_hard_cap(self):
         p = CertificateProblem(5001, 0, 2, 1e-6)
         a = CoefficientVector.uniform(p)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n=5001"):
             refine(p, a, max_iter=1)
+        with pytest.raises(ValueError, match="n=5001"):
+            build_refinement_lp(bound_table(p, a, TOL), p)
 
 
 class TestDominance:
