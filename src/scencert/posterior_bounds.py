@@ -136,7 +136,6 @@ class _SignEvaluator:
         n, zeta = problem.n, problem.zeta
         self.n = n
         self.m = np.asarray(problem.m if m is None else m)
-        self._max_m = int(self.m.max())
         self.log_beta = math.log(problem.beta)
         self._lg = lg = gammaln(np.arange(n + 2, dtype=float))  # lg[x] = ln(x-1)!
         ks = np.arange(zeta + 1)[:, None]
@@ -158,11 +157,15 @@ class _SignEvaluator:
         """ln of the weighted-polynomial side minus ln of the tail side,
         for cells (k[i], l[i]) at roots t[i], where k and l broadcast;
         positive below the root, negative above it.  Cells go in batches
-        of at most _BATCH_ELEMENTS log-terms, each cell counted at n+1
-        terms, so no margin depends on which cells share its batch."""
+        of at most _BATCH_ELEMENTS log-terms, each cell counted at the
+        terms its polynomial side holds at once: one tail for equal
+        weights, otherwise two rows of one term per nonzero weight (the
+        powers and the gathered ln-terms), so no margin depends on which
+        cells share its batch."""
         t = np.asarray(t, dtype=float)
         k, l, m = np.broadcast_arrays(k, l, self.m)
-        step = max(1, _BATCH_ELEMENTS // (self.n + self._max_m + 2))
+        terms = 1 if self._log_terms is None else 2 * self._log_terms.shape[1]
+        step = max(1, _BATCH_ELEMENTS // terms)
         batches = [slice(s, s + step) for s in range(0, t.size, step)]
         return np.concatenate([self._margin(t[b], k[b], l[b], m[b]) for b in batches])
 

@@ -112,39 +112,39 @@ def _as_samples(problem: ToyScenarioProblem, samples) -> np.ndarray:
 def _extremes(
     problem: ToyScenarioProblem, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The support rule on a batch of design sets of shape (..., count, d).
+    """The support rule on a batch of design sets of shape (..., d, count).
 
     Returns the decisions (shape (..., 1) for scalar_max, (..., 2, d)
     with rows [lower; upper] for bounding_box), each extremum's first
     attainer sorted along the last axis (a sample attaining several
     extrema repeats; the distinct entries are the support constraints),
-    and the tie flags: some extremum is attained more than once.
+    and the tie flags: some extremum is attained more than once.  Every
+    reduction runs along the contiguous sample axis; scalar_max is the
+    upper bound of a one-row box.
     """
-    if problem.kind == "scalar_max":
-        values = pts[..., 0]
-        first = values.argmax(axis=-1)[..., None]
-        top = np.take_along_axis(values, first, axis=-1)
-        tie = np.count_nonzero(values == top, axis=-1) > 1
-        return top, first, tie
-    # Gathering the bounds at their attainers is several times cheaper
-    # than min/max reductions along the strided sample axis.
-    first = np.stack([pts.argmin(axis=-2), pts.argmax(axis=-2)], axis=-2)
-    bounds = np.take_along_axis(pts, first, axis=-2)
-    # Each of the 2d extrema is attained at least once; any extra is a tie.
-    equal = pts[..., None, :, :] == bounds[..., :, None, :]
-    attained = np.count_nonzero(equal, axis=(-3, -2, -1))
+    first = [pts.argmax(axis=-1)]
+    if problem.kind == "bounding_box":
+        first.insert(0, pts.argmin(axis=-1))
+    first = np.stack(first, axis=-1)
+    bounds = np.take_along_axis(pts, first, axis=-1)
+    # Each extremum is attained at least once; any extra is a tie.
+    attained = sum(
+        np.count_nonzero(pts == bound[..., None], axis=(-2, -1))
+        for bound in np.moveaxis(bounds, -1, 0)
+    )
     first = np.sort(first.reshape(*first.shape[:-2], -1), axis=-1)
-    return bounds, first, attained > first.shape[-1]
+    decision = bounds[..., 0] if problem.kind == "scalar_max" else bounds.swapaxes(-2, -1)
+    return decision, first, attained > first.shape[-1]
 
 
 def _outside(
     problem: ToyScenarioProblem, decision: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
-    """Mask of samples (..., count, d) outside decisions shaped as ``_extremes`` gives."""
+    """Mask of samples (..., d, count) outside decisions shaped as ``_extremes`` gives."""
     if problem.kind == "scalar_max":
-        return pts[..., 0] > decision
-    lo, hi = decision[..., None, 0, :], decision[..., None, 1, :]
-    return np.any((pts < lo) | (pts > hi), axis=-1)
+        return pts[..., 0, :] > decision
+    lo, hi = decision[..., 0, :, None], decision[..., 1, :, None]
+    return np.any((pts < lo) | (pts > hi), axis=-2)
 
 
 def _risk(problem: ToyScenarioProblem, decision: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def solve_scenario(problem: ToyScenarioProblem, samples) -> ScenarioSolution:
     pts = _as_samples(problem, samples)
     if pts.shape[0] < 1:
         raise ValueError("need at least one design sample")
-    decision, first, tie = _extremes(problem, pts[None])
+    decision, first, tie = _extremes(problem, pts.T[None])
     support = tuple(int(i) for i in np.unique(first[0]))
     return ScenarioSolution(problem, decision[0], support, bool(tie[0]))
 
@@ -168,7 +168,7 @@ def violation_mask(
     problem: ToyScenarioProblem, solution: ScenarioSolution, samples
 ) -> np.ndarray:
     """Boolean mask of samples outside the solution's feasible region."""
-    return _outside(problem, solution.decision, _as_samples(problem, samples))
+    return _outside(problem, solution.decision, _as_samples(problem, samples).T)
 
 
 def count_validation_violations(
@@ -187,8 +187,7 @@ def violation_probability(
     return float(_risk(problem, solution.decision))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One Monte Carlo replication with its certificates and true risk.
 
     ``eta`` and ``chernoff`` are None when m = 0 (both are undefined
@@ -354,19 +353,24 @@ def run_monte_carlo(
         eta_by_l = chern_by_l = None
 
     # Each block holds at most _BATCH_ELEMENTS sample coordinates; run i
-    # fills row i of it from its own stream, as problem.sample would.
+    # fills row i of it from its own stream, as problem.sample would.  The
+    # block is then copied sample-major, so the support rule reduces
+    # along contiguous rows.
     width = n + m
     block = max(1, _BATCH_ELEMENTS // (width * problem.dimension))
+    drawn = np.empty((block, width, problem.dimension))
+    sample_major = np.empty((block, problem.dimension, width))
     s, r = np.empty(runs, dtype=np.intp), np.empty(runs, dtype=np.intp)
     v_true, tie = np.empty(runs), np.empty(runs, dtype=bool)
     for start in range(0, runs, block):
         stop = min(start + block, runs)
-        pts = np.empty((stop - start, width, problem.dimension))
         for row, rng in enumerate(streams.generators(start, stop)):
-            rng.random(out=pts[row])
-        decision, first, tie[start:stop] = _extremes(problem, pts[:, :n])
+            rng.random(out=drawn[row])
+        pts = sample_major[: stop - start]
+        np.copyto(pts, drawn[: stop - start].swapaxes(-2, -1))
+        decision, first, tie[start:stop] = _extremes(problem, pts[..., :n])
         s[start:stop] = 1 + np.count_nonzero(np.diff(first, axis=-1), axis=-1)
-        r[start:stop] = np.count_nonzero(_outside(problem, decision, pts[:, n:]), axis=-1)
+        r[start:stop] = np.count_nonzero(_outside(problem, decision, pts[..., n:]), axis=-1)
         v_true[start:stop] = _risk(problem, decision)
     bounds = {
         "eps_sr": table.eps[s, r],
@@ -376,12 +380,9 @@ def run_monte_carlo(
     }
     columns = [[None] * runs if bounds[name] is None else bounds[name].tolist()
                for name in BOUND_NAMES]
-    records = [
-        TrialRecord(run, *fields)
-        for run, fields in enumerate(
-            zip(s.tolist(), r.tolist(), v_true.tolist(), *columns, tie.tolist())
-        )
-    ]
+    records = list(map(TrialRecord._make, zip(
+        range(runs), s.tolist(), r.tolist(), v_true.tolist(), *columns, tie.tolist()
+    )))
     return _aggregate(s, r, v_true, tie, bounds, m), records
 
 

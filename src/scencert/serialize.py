@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from operator import attrgetter, index
+from operator import index
 
 import numpy as np
 
@@ -39,6 +39,7 @@ _REAL = "%.12g"  # fmt's rule; it equals format(x, ".12g") for every double
 _REALS = frozenset({"t", "eps", "eps_lower", "v_true", "eps_sr", "eps_s", "eta",
                     "chernoff", "mean_gap", "std_gap", "empirical_confidence",
                     "frequency", "mean_r_over_m"})
+# A TrialRecord's fields in order; its last field, tie, is not printed.
 _RECORD_COLUMNS = ("run", "s", "r", "v_true", "eps_sr", "eps_s", "eta", "chernoff")
 _STEP_COLUMNS = ("m", "r", "eta", "eps")
 
@@ -101,7 +102,8 @@ def _grid(**arrays) -> dict:
 
 
 def _columns(names: tuple[str, ...], rows) -> dict:
-    """Named columns of the rows, which hold values in the names' order."""
+    """Named columns of the rows, which hold values in the names' order;
+    fields past the last name are dropped."""
     return dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
 
 
@@ -150,16 +152,12 @@ def parse_coefficients(text: str) -> list[float]:
     return [float(v) for v in data]
 
 
-def _records(records) -> dict:
-    return _columns(_RECORD_COLUMNS, map(attrgetter(*_RECORD_COLUMNS), records))
-
-
 def records_csv(records) -> str:
-    return _csv(_records(records))
+    return _csv(_columns(_RECORD_COLUMNS, records))
 
 
 def records_jsonl(records) -> str:
-    return "\n".join(_objects(_records(records))) + "\n"
+    return "\n".join(_objects(_columns(_RECORD_COLUMNS, records))) + "\n"
 
 
 def gap_stats_json(stats) -> str:

@@ -165,8 +165,9 @@ class TestSolveRoot:
     def test_margin_of_a_cell_does_not_depend_on_its_batch(self, monkeypatch):
         # Mixed (k, l) cells in shuffled order, split across many batches,
         # give bit for bit the margins of one-cell calls, for the uniform
-        # closed form and for a sparse vector's support sum.
-        monkeypatch.setattr(posterior_bounds, "_BATCH_ELEMENTS", 700)
+        # closed form and for a sparse vector's support sum.  A uniform
+        # cell counts 1 term and a sparse one two rows of 4, so 64 splits both.
+        monkeypatch.setattr(posterior_bounds, "_BATCH_ELEMENTS", 64)
         p, a = uniform_problem(60, 40, 12)
         rng = np.random.default_rng(5)
         k = rng.integers(0, p.zeta + 1, 500)
@@ -179,6 +180,22 @@ class TestSolveRoot:
             together = ev.margin(t, k, l)
             alone = [ev.margin([ti], ki, [li])[0] for ti, ki, li in zip(t, k, l)]
             assert np.array_equal(together, alone)
+
+    def test_uniform_paper_grid_is_one_batch_per_margin_call(self, monkeypatch):
+        # Equal weights build one tail per cell, so the whole (500, 500, 18)
+        # grid of 9,519 cells fits one batch of _BATCH_ELEMENTS terms.
+        calls = {"margin": 0, "_margin": 0}
+        for name in calls:
+            method = getattr(posterior_bounds._SignEvaluator, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(posterior_bounds._SignEvaluator, name, counted)
+        bound_table(*uniform_problem(500, 500, 18))
+        assert calls["margin"] > 0
+        assert calls["_margin"] == calls["margin"]
 
 
 def assert_margins_match_dense_sum(p, a):

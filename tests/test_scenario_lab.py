@@ -153,22 +153,23 @@ class TestBatchedSupportRule:
     @pytest.mark.parametrize("problem", [SCALAR, box(1), box(2), box(5)],
                              ids=lambda p: f"{p.kind}-{p.dimension}")
     def test_lattice_ties_match_per_slice_solutions(self, problem):
-        # Even slices sit on a coarse lattice, so extrema tie; odd slices
-        # are continuous and never tie.
+        # Slices are sample-major, (d, count) each.  Even slices sit on a
+        # coarse lattice, so extrema tie; odd slices are continuous and
+        # never tie.
         rng = np.random.default_rng(55)
-        batch = rng.random((40, 9, problem.dimension))
+        batch = rng.random((40, problem.dimension, 9))
         batch[::2] = np.round(batch[::2] * 3) / 3
-        probe = np.round(rng.random((40, 7, problem.dimension)) * 3) / 3
+        probe = np.round(rng.random((40, problem.dimension, 7)) * 3) / 3
         decision, first, tie = _extremes(problem, batch)
         mask = _outside(problem, decision, probe)
         assert tie[::2].any() and not tie[1::2].any()
         for i, pts in enumerate(batch):
-            solution = solve_scenario(problem, pts)
-            assert (solution.support_set, solution.tie) == scan_support(problem, pts)
+            solution = solve_scenario(problem, pts.T)
+            assert (solution.support_set, solution.tie) == scan_support(problem, pts.T)
             assert np.array_equal(decision[i], solution.decision)
             assert np.unique(first[i]).size == solution.support_count
             assert tie[i] == solution.tie
-            assert np.array_equal(mask[i], violation_mask(problem, solution, probe[i]))
+            assert np.array_equal(mask[i], violation_mask(problem, solution, probe[i].T))
 
 
 def per_run_records(problem, n, m, beta, runs, seed):
@@ -253,13 +254,26 @@ class TestMonteCarlo:
         (SCALAR, 25, 0, 50,
          "854d5411705c1b261e330f881a6245aefeff0b7d7ec09443308f9147b50d1d9c",
          "167bb141f110e241e5bf8a4604b87e84002f97a05e2c20e35c26b1b72d004b2c"),
-    ], ids=["box3", "scalar"])
+        (SCALAR, 25, 15, 50,
+         "f6026ee4ffe190af076bcb728d1023dc18b0556686d0c35f8a24449b7a8d1826",
+         "a753a0d789f3721c6dab4a12062dfd3ccd4d8b19c69cc63f715ce0e36b74b5d9"),
+    ], ids=["box3", "scalar", "scalar-validated"])
     def test_golden_record_stream(self, problem, n, m, runs, records_sha, stats_sha):
         # Any change to a run's samples, its scoring or the statistics
         # changes these digests.
         stats, records = run_monte_carlo(problem, n, m, 1e-6, runs, master_seed=7)
         assert hashlib.sha256(records_csv(records).encode()).hexdigest() == records_sha
         assert hashlib.sha256(stats.to_json().encode()).hexdigest() == stats_sha
+
+    def test_records_are_named_tuples(self):
+        fields = dict(run=3, s=2, r=1, v_true=0.25, eps_sr=0.5, eps_s=0.75,
+                      eta=None, chernoff=None, tie=False)
+        record = TrialRecord(**fields)
+        assert record == TrialRecord(*fields.values())
+        assert record._asdict() == fields
+        assert record != record._replace(tie=True)
+        _, records = run_monte_carlo(SCALAR, 5, 2, 1e-3, 3)
+        assert [type(rec) for rec in records] == [TrialRecord] * 3
 
     def test_reproducible_per_master_seed(self):
         toy = box(2)
