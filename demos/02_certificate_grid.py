@@ -12,6 +12,7 @@ pairs: k support constraints (rows) and l validation violations
 import numpy as np
 
 from scencert import CertificateProblem, CoefficientVector, bound_table, wait_and_judge
+from scencert.serialize import table_csv
 
 problem = CertificateProblem(n=50, m=30, zeta=10, beta=1e-6)
 weights = CoefficientVector.uniform(problem)
@@ -34,7 +35,7 @@ print("last column equals the support-count-only bound:",
       bool(np.abs(table.eps[:, -1] - no_validation).max() < 1e-8))
 
 # The grid serializes byte-stably; identical inputs give identical files.
-csv_text = table.to_csv()
+csv_text = table_csv(table)
 print(f"\nCSV export: {len(csv_text.splitlines())} lines, first three:")
 for line in csv_text.splitlines()[:3]:
     print(" ", line)

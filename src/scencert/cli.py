@@ -12,6 +12,8 @@ import argparse
 import sys
 from functools import cache
 
+import numpy as np
+
 from . import serialize
 from ._parallel import resolve_threads
 from .classic_bounds import (
@@ -36,7 +38,6 @@ from .refinement import (
 )
 from .scenario_lab import (
     ToyScenarioProblem,
-    _RunStreams,
     incremental_judgement,
     run_monte_carlo,
     solve_scenario,
@@ -92,7 +93,11 @@ def _cmd_table(args) -> int:
     problem = CertificateProblem(args.n, args.m, args.zeta, args.beta)
     coeffs = _load_coefficients(problem, args.coeffs)
     table = bound_table(problem, coeffs, args.tol)
-    text = table.to_csv() if args.format == "csv" else table.to_json()
+    text = (
+        serialize.table_csv(table)
+        if args.format == "csv"
+        else serialize.table_json(table)
+    )
     serialize.write_output(args.output, text)
     return EXIT_OK
 
@@ -114,7 +119,11 @@ def _cmd_lower_limit(args) -> int:
     if args.output is None:
         raise ValueError("provide --k/--l for a point query or --output for the grid")
     table = lower_limit_table(problem, args.tol)
-    text = table.to_csv() if args.format == "csv" else table.to_json()
+    text = (
+        serialize.lower_table_csv(table)
+        if args.format == "csv"
+        else serialize.lower_table_json(table)
+    )
     serialize.write_output(args.output, text)
     degenerate = int(table.degenerate.sum())
     if degenerate:
@@ -135,7 +144,7 @@ def _cmd_refine(args) -> int:
         tau=args.tau,
     )
     if args.output is not None:
-        serialize.write_output(args.output, trace.to_json())
+        serialize.write_output(args.output, serialize.trace_json(trace))
     if args.coeffs_out is not None:
         serialize.write_output(
             args.coeffs_out,
@@ -165,14 +174,16 @@ def _cmd_simulate(args) -> int:
             else serialize.records_jsonl(records)
         )
         serialize.write_output(args.output, text)
-    sys.stdout.write(stats.to_json())
+    sys.stdout.write(serialize.gap_stats_json(stats))
     return EXIT_OK
 
 
 def _cmd_incremental(args) -> int:
     toy = _toy(args)
-    cert = CertificateProblem(args.n, 0, toy.zeta, args.beta)
-    pts = toy.sample(next(_RunStreams(args.seed).generators(0, 1)), args.n + args.m)
+    cert = CertificateProblem(args.n, args.m, toy.zeta, args.beta)
+    # the stream that run 0 of `simulate` draws from at this seed
+    rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
+    pts = toy.sample(rng, args.n + args.m)
     solution = solve_scenario(toy, pts[: args.n])
     steps = incremental_judgement(
         toy,

@@ -160,16 +160,6 @@ class LowerLimitTable:
     eps_lower: np.ndarray
     degenerate: np.ndarray
 
-    def to_csv(self) -> str:
-        from . import serialize
-
-        return serialize.lower_table_csv(self)
-
-    def to_json(self) -> str:
-        from . import serialize
-
-        return serialize.lower_table_json(self)
-
 
 def lower_limit_table(
     problem: CertificateProblem, tol: float = DEFAULT_TOL

@@ -78,7 +78,7 @@ class CoefficientVector:
     root.
     """
 
-    __slots__ = ("values", "log_values", "n", "zeta", "scheme")
+    __slots__ = ("values", "log_values", "n", "scheme")
 
     def __init__(self, values, problem: CertificateProblem, scheme: str = "custom"):
         arr = np.asarray(values, dtype=float)
@@ -101,7 +101,6 @@ class CoefficientVector:
         with np.errstate(divide="ignore"):
             self.log_values: np.ndarray = np.log(arr)
         self.n = problem.n
-        self.zeta = problem.zeta
         self.scheme = scheme
         self.validate_for(problem)
 
@@ -292,16 +291,6 @@ class BoundTable:
     tol: float
     t: np.ndarray
     eps: np.ndarray
-
-    def to_csv(self) -> str:
-        from . import serialize
-
-        return serialize.table_csv(self)
-
-    def to_json(self) -> str:
-        from . import serialize
-
-        return serialize.table_json(self)
 
 
 def bound_table(

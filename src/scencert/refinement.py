@@ -185,11 +185,6 @@ class RefinementTrace:
     def final(self) -> RefinementIteration:
         return self.iterations[-1]
 
-    def to_json(self) -> str:
-        from . import serialize
-
-        return serialize.trace_json(self)
-
 
 def refine(
     problem: CertificateProblem,

@@ -223,11 +223,6 @@ class GapStatistics:
     occurrences: dict[int, tuple[int, float | None]]
     ties: int
 
-    def to_json(self) -> str:
-        from . import serialize
-
-        return serialize.gap_stats_json(self)
-
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).

@@ -1,5 +1,8 @@
 """Byte-stable text formats for tables, traces and Monte Carlo records.
 
+This is the only module that renders output: the result records hold
+data, and each output has one public writer here.
+
 Each writer names its columns and hands them to one of three renderers:
 ``_csv`` (a header line, then one line per record), ``_objects`` (one
 JSON object per record) or ``_json`` (a whole document).  A column's

@@ -151,6 +151,8 @@ class TestExitCodes:
          "expected non-negative integer"),
         (("incremental", "--kind", "scalar-max", "--n", "5", "--m", "3",
           "--beta", "1e-3", "--seed", "-1"), "expected non-negative integer"),
+        (("incremental", "--kind", "scalar-max", "--n", "5", "--m", "-1",
+          "--beta", "1e-3", "--seed", "0"), "m >= 0"),
     ])
     def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
                                             args, message):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from scencert import binom_tail, lower_limits, posterior_bounds
+from scencert import binom_tail, lower_limits, posterior_bounds, serialize
 from scencert.classic_bounds import bisect, clopper_pearson
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import (
@@ -363,29 +363,29 @@ class TestSerialization:
     def test_csv_shape_and_stability(self):
         p, a = uniform_problem(20, 4, 3)
         table = bound_table(p, a, TOL)
-        text = table.to_csv()
+        text = serialize.table_csv(table)
         lines = text.strip().split("\n")
         assert lines[0] == "k,l,t,eps"
         assert len(lines) == 1 + (p.zeta + 1) * (p.m + 1)
-        again = bound_table(p, a, TOL).to_csv()
+        again = serialize.table_csv(bound_table(p, a, TOL))
         assert text == again
 
     def test_json_round_trip(self):
         p, a = uniform_problem(20, 4, 3)
         table = bound_table(p, a, TOL)
-        doc = json.loads(table.to_json())
+        doc = json.loads(serialize.table_json(table))
         assert doc["problem"] == {"n": 20, "m": 4, "zeta": 3, "beta": 1e-6}
         assert doc["coefficients_scheme"] == "uniform"
         assert len(doc["grid"]) == (p.zeta + 1) * (p.m + 1)
         cell = doc["grid"][0]
         assert cell["k"] == 0 and cell["l"] == 0
         assert cell["eps"] == pytest.approx(table.eps[0, 0], rel=1e-11)
-        assert table.to_json() == bound_table(p, a, TOL).to_json()
+        assert serialize.table_json(table) == serialize.table_json(bound_table(p, a, TOL))
 
     def test_csv_values_parse_back(self):
         p, a = uniform_problem(12, 2, 2)
         table = bound_table(p, a, TOL)
-        for line in table.to_csv().strip().split("\n")[1:]:
+        for line in serialize.table_csv(table).strip().split("\n")[1:]:
             k, l, t, eps = line.split(",")
             assert float(t) == pytest.approx(table.t[int(k), int(l)], rel=1e-11)
             assert float(eps) == pytest.approx(table.eps[int(k), int(l)], rel=1e-11)

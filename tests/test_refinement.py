@@ -17,7 +17,7 @@ from scencert.refinement import (
     dominance_check,
     refine,
 )
-from scencert.serialize import coefficients_json, parse_coefficients
+from scencert.serialize import coefficients_json, parse_coefficients, trace_json
 from scencert.simplex import LPSolution, lp_solve
 
 from helpers import exact_binom_cdf, exact_certificate_sign
@@ -220,7 +220,7 @@ class TestRefine:
         p = CertificateProblem(30, 2, 3, 1e-6)
         a = CoefficientVector.uniform(p)
         trace = refine(p, a)
-        doc = json.loads(trace.to_json())
+        doc = json.loads(trace_json(trace))
         assert isinstance(doc, list)
         assert doc[0]["iter"] == 0
         assert doc[0]["max_t_increase"] is None

@@ -27,7 +27,7 @@ from scencert.scenario_lab import (
     violation_mask,
     violation_probability,
 )
-from scencert.serialize import records_csv, records_jsonl
+from scencert.serialize import gap_stats_json, records_csv, records_jsonl
 
 from helpers import reference_run_rng
 
@@ -263,7 +263,7 @@ class TestMonteCarlo:
         # changes these digests.
         stats, records = run_monte_carlo(problem, n, m, 1e-6, runs, master_seed=7)
         assert hashlib.sha256(records_csv(records).encode()).hexdigest() == records_sha
-        assert hashlib.sha256(stats.to_json().encode()).hexdigest() == stats_sha
+        assert hashlib.sha256(gap_stats_json(stats).encode()).hexdigest() == stats_sha
 
     def test_records_are_named_tuples(self):
         fields = dict(run=3, s=2, r=1, v_true=0.25, eps_sr=0.5, eps_s=0.75,
@@ -321,7 +321,7 @@ class TestMonteCarlo:
         import json
 
         stats, _ = run_monte_carlo(box(2), 20, 10, 1e-6, 12, master_seed=4)
-        doc = json.loads(stats.to_json())
+        doc = json.loads(gap_stats_json(stats))
         assert doc["runs"] == 12
         assert set(doc["bounds"]) == {"eps_sr", "eps_s", "eta", "chernoff"}
         assert doc["occurrences"][0]["count"] >= 1
