@@ -62,6 +62,11 @@ def log_binom_coeff(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _log_comb(n, k):
+    """ln C(n, k) elementwise; a finite placeholder where k > n, which callers mask."""
+    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(np.maximum(n - k, 0) + 1.0)
+
+
 def log_sum_exp(log_terms):
     """ln(sum_i exp(v_i)) over the last axis, without overflow.
 
@@ -76,7 +81,8 @@ def log_sum_exp(log_terms):
         return -math.inf
     mx = arr.max(axis=-1, keepdims=True)
     dead = mx == -math.inf  # all -inf: shift by 0 and take ln 1, not ln 0
-    total = np.exp(arr - np.where(dead, 0.0, mx)).sum(axis=-1, keepdims=True) + dead
+    shifted = arr - np.where(dead, 0.0, mx)
+    total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True) + dead
     out = (mx + np.log(total))[..., 0]
     return float(out) if out.ndim == 0 else out
 
@@ -121,11 +127,8 @@ def _log_tails_by_sum(m, l, log_x, log_1mx):
         b = slice(start, start + step)
         i = np.arange(int(l[b].max()) + 1, dtype=float)
         m_b = m[b, None].astype(float)
-        m_i = m_b - i
-        # Clipping m - i only keeps the coefficients of terms past an
-        # element's own m finite; no tail picked below reaches them.
-        log_comb = gammaln(m_b + 1.0) - gammaln(i + 1.0) - gammaln(np.maximum(m_i, 0.0) + 1.0)
-        terms = log_comb + i * log_x[b, None] + m_i * log_1mx[b, None]
+        # Terms past an element's own m are placeholders no tail picked below reaches.
+        terms = _log_comb(m_b, i) + i * log_x[b, None] + (m_b - i) * log_1mx[b, None]
         # Every tail of an element from one running log-sum; keep the one at l.
         tails = np.logaddexp.accumulate(terms, axis=-1)
         out[b] = tails[np.arange(tails.shape[0]), l[b]]

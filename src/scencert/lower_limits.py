@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
-from .binom_tail import _BATCH_ELEMENTS, log_sum_exp
+from .binom_tail import _BATCH_ELEMENTS, _log_comb, log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_tol
 from .posterior_bounds import CertificateProblem, _check_cell
 
@@ -40,17 +39,17 @@ __all__ = [
 
 def z_coefficients(n: int, m: int, k: int) -> np.ndarray:
     """Mixture weights z_0..z_m tying grid cell (k, .) to binomial tails
-    in n + m trials.  Defined for k >= 1; all entries are positive."""
+    in n + m trials, for k >= 1.  Positive in exact arithmetic, they can
+    underflow to 0 once m is in the thousands."""
     if k < 1:
         raise ValueError(f"z coefficients are defined for k >= 1, got k={k}")
     if n < 1 or m < 0 or k > n:
         raise ValueError(f"require 1 <= k <= n and m >= 0, got n={n}, m={m}, k={k}")
-    lg = gammaln(np.arange(n + m + 2, dtype=float))
     j = np.arange(m + 1)
     log_z = (
-        (lg[n + 1] - lg[k + 1] - lg[n - k + 1])
-        + (lg[m + 1] - lg[j + 1] - lg[m - j + 1])
-        - (lg[n + m + 1] - lg[k + j + 1] - lg[n + m - k - j + 1])
+        _log_comb(n, k)
+        + _log_comb(m, j)
+        - _log_comb(n + m, k + j)
         + math.log(k)
         - np.log(k + j)
     )
@@ -104,7 +103,8 @@ def lower_limit(
     eps, degenerate = np.zeros(l.shape), np.zeros(l.shape, dtype=bool)
     cells = np.flatnonzero(k >= 1)
     ks, row = np.unique(k[cells], return_inverse=True)
-    log_z = np.log([z_coefficients(problem.n, problem.m, int(kr)) for kr in ks])
+    with np.errstate(divide="ignore"):  # an underflowed z_j drops out as -inf
+        log_z = np.log([z_coefficients(problem.n, problem.m, int(kr)) for kr in ks])
     log_z = log_z.reshape(ks.size, problem.m + 1)
     log_beta = math.log(problem.beta)
     log_beta_up = np.nextafter(log_beta, math.inf)  # v >= it iff v > ln beta
@@ -116,7 +116,7 @@ def lower_limit(
     width = (k + l)[cells]  # pmf terms i = 0..k+l-1 per cell
     n_total = problem.n + problem.m
     i = np.arange(width[-1] if width.size else 0, dtype=float)
-    log_comb = gammaln(n_total + 1.0) - gammaln(i + 1.0) - gammaln(n_total - i + 1.0)
+    log_comb = _log_comb(n_total, i)
     start = 0
     while start < cells.size:
         # width is non-decreasing, so (c + 1) * width[start + c] rises with c

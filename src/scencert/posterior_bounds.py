@@ -31,9 +31,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
-from .binom_tail import _BATCH_ELEMENTS, log_binom_tails
+from .binom_tail import _BATCH_ELEMENTS, _log_comb, log_binom_tails
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
 __all__ = [
@@ -136,9 +135,8 @@ class _SignEvaluator:
         self.n = n
         self.m = np.asarray(problem.m if m is None else m)
         self.log_beta = math.log(problem.beta)
-        self._lg = lg = gammaln(np.arange(n + 2, dtype=float))  # lg[x] = ln(x-1)!
         ks = np.arange(zeta + 1)[:, None]
-        self._log_comb_n_k = (lg[n + 1] - lg[ks + 1] - lg[n - ks + 1])[:, 0]
+        self._log_comb_n_k = _log_comb(n, ks)[:, 0]
         values = coeffs.values
         self._log_terms = self._powers = None
         if np.all(values == values[0]):
@@ -147,10 +145,9 @@ class _SignEvaluator:
             # ln(a_j C(j, k)) and j - k at [k, s] for the s-th nonzero
             # weight a_j, -inf (power 0) where j < k.
             j = np.flatnonzero(values)
-            i = np.maximum(j - ks, 0)
-            log_comb = lg[j + 1] - lg[ks + 1] - lg[i + 1]
-            self._log_terms = np.where(j >= ks, coeffs.log_values[j] + log_comb, -np.inf)
-            self._powers = i.astype(float)
+            log_terms = coeffs.log_values[j] + _log_comb(j, ks)
+            self._log_terms = np.where(j >= ks, log_terms, -np.inf)
+            self._powers = np.maximum(j - ks, 0).astype(float)
 
     def margin(self, t: np.ndarray, k, l: np.ndarray) -> np.ndarray:
         """ln of the weighted-polynomial side minus ln of the tail side,
@@ -199,8 +196,7 @@ class _SignEvaluator:
         the equation reads sum_j a_j exp(terms[i, j-k]) = exp(tail[i])."""
         t, l = np.asarray(t, dtype=float), np.asarray(l)
         log_t, i = np.log(t), np.arange(self.n - k + 1)
-        log_comb = self._lg[k + i + 1] - self._lg[k + 1] - self._lg[i + 1]  # ln C(k+i, k)
-        terms = self.log_beta + log_comb + i * log_t[:, None]
+        terms = self.log_beta + _log_comb(k + i, k) + i * log_t[:, None]
         return terms, self._tail_side(log_t, np.log1p(-t), k, l, self.m)
 
 

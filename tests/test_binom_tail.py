@@ -60,6 +60,24 @@ class TestLogBinomCoeff:
             log_binom_coeff(3, -1)
 
 
+class TestLogComb:
+    def test_relative_error_grid(self):
+        # The array rule takes lgamma differences, unlike log_binom_coeff's
+        # exact factors; the worst seen up to n = 10^6 is 1.05e-11.
+        rng = np.random.default_rng(2)
+        for n in (10, 100, 1000, 10_000, 100_000):
+            ks = np.unique(np.r_[rng.integers(0, n + 1, size=40), 1, 2, n // 2, n - 1])
+            got = binom_tail._log_comb(n, ks)
+            exact = np.array([math.log(math.comb(n, int(k))) for k in ks])
+            assert np.all(np.abs(got - exact) <= 2e-11 * np.abs(exact))
+
+    def test_ends_are_zero_and_past_n_is_finite(self):
+        n = np.array([0, 1, 7, 1000, 100_000])
+        assert np.all(binom_tail._log_comb(n, 0) == 0.0)
+        assert np.all(binom_tail._log_comb(n, n) == 0.0)
+        assert np.all(np.isfinite(binom_tail._log_comb(n, n + np.array([1, 5, 50, 7, 3]))))
+
+
 class TestLogSumExp:
     def test_empty_and_all_neg_inf(self):
         assert log_sum_exp([]) == -math.inf

@@ -125,6 +125,14 @@ class TestLowerLimit:
         assert value.eps == 0.0
         assert value.degenerate
 
+    def test_underflowed_weights_drop_out(self):
+        # At m = 4000 the last z_j underflow to 0.  Cell (1, 0) reads
+        # z_0 (1 - eps)^(n+m) = beta with z_0 = n / (n + m) = 1/21.
+        p = CertificateProblem(200, 4000, 10, 1e-6)
+        exact = -np.expm1(np.log(21 * p.beta) / 4200)
+        eps = lower_limit(1, 0, p).eps
+        assert exact - TOL <= eps <= exact
+
     def test_residual_at_root(self):
         p = CertificateProblem(60, 8, 5, 1e-6)
         for k in (1, 3, 5):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,19 @@ class TestSolveRoot:
         bound_table(*uniform_problem(500, 500, 18))
         assert calls["margin"] > 0
         assert calls["_margin"] == calls["margin"]
+
+
+def test_uniform_evaluator_state_is_small():
+    # Equal weights read ln C(n, k) for k <= zeta only; an O(n) table of
+    # ln x! once took 15 MB traced at n = 10^6.
+    p, a = uniform_problem(1_000_000, 10, 5)
+    tracemalloc.start()
+    try:
+        posterior_bounds._SignEvaluator(p, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def assert_margins_match_dense_sum(p, a):
