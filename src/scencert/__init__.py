@@ -62,6 +62,7 @@ from .simplex import (
     LPInfeasibleError,
     LPSolution,
     LPUnboundedError,
+    SimplexError,
     lp_solve,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "LPError",
     "LPInfeasibleError",
     "LPUnboundedError",
+    "SimplexError",
     "lp_solve",
     "dominance_check",
     "build_refinement_lp",

@@ -127,28 +127,27 @@ def build_refinement_lp(
     _check_size(problem)
     n = problem.n
     ev = _SignEvaluator(problem, table.coefficients)
-    rows, rhs = [], []
+    a_ge = np.zeros((np.count_nonzero(table.t > 0.0) + 1, n + 1))
+    b_ge = np.empty(a_ge.shape[0])
     objective = np.zeros(n + 1)
+    start = 0
     for k in range(problem.zeta + 1):
         l = np.flatnonzero(table.t[k] > 0.0)
         t = table.t[k, l]
         terms, tail = ev.log_sides(t, k, l)
         top = terms.max(axis=1)
-        row_rhs = np.exp(tail - top)
+        rows = slice(start, start + l.size)
+        b_ge[rows] = row_rhs = np.exp(tail - top)
         bad = ~(np.isfinite(top) & np.isfinite(row_rhs))
         if bad.any():
             i = int(np.argmax(bad))
             raise RefinementError(k, int(l[i]), f"log scale={top[i]!r}, rhs={row_rhs[i]!r}")
-        block = np.zeros((l.size, n + 1))
-        block[:, k:] = np.exp(terms - top[:, None])
-        rows.append(block)
-        rhs.append(row_rhs)
+        a_ge[rows, k:] = np.exp(terms - top[:, None])
+        start += l.size
         objective[k:] += np.exp(terms - ev.log_beta - (n - k) * np.log(t)[:, None]).sum(axis=0)
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.
-    floor = np.zeros((1, n + 1))
-    floor[0, problem.zeta : n] = 1.0
-    a_ge = np.vstack(rows + [floor])
-    b_ge = np.concatenate(rhs + [[tau]])
+    a_ge[-1, problem.zeta : n] = 1.0
+    b_ge[-1] = tau
 
     obj_scale = float(np.abs(objective).max())
     if not (np.isfinite(obj_scale) and obj_scale > 0.0):

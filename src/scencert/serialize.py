@@ -196,18 +196,23 @@ def write_output(path: str, text: str) -> None:
     """Write text to the file ``path`` resolves to, with the umask's mode,
     by renaming a flushed temporary sibling over it, so no partial file is
     ever left; a target that is not a regular file is written directly."""
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as handle:
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w") as handle:
             handle.write(text)
         return
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".scencert-", suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".scencert-",
+                                        suffix=".tmp")
+    except OSError as exc:
+        # Name the requested file, not the temporary one's random name.
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         os.umask(umask := os.umask(0))  # read the umask, leaving it set
         os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, target)
     except BaseException:
         try:
             os.remove(tmp_path)

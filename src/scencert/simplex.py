@@ -24,7 +24,9 @@ HiGHS with the same fixed options:
   refinement's mass floor of 1e-9;
 - ``small_matrix_value`` 1e-12, set before the model is passed: at the
   default 1e-9 HiGHS dropped 37,051 entries of a (500, 500, 18)
-  refinement step's matrix, and the dual simplex then stalled.
+  refinement step's matrix, and the dual simplex then stalled.  The
+  program's dense rows are passed as they are, so this is also where
+  their exact zeros are dropped.
 """
 
 from __future__ import annotations
@@ -152,19 +154,6 @@ def _load_highs():
     return module
 
 
-def _rowwise(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row starts, column indices and values of the stacked blocks'
-    nonzeros, read block by block."""
-    counts, index, value = [], [], []
-    for a in blocks:
-        rows, cols = np.nonzero(a)
-        counts.append(np.bincount(rows, minlength=a.shape[0]))
-        index.append(cols)
-        value.append(a[rows, cols])
-    start = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return start, np.concatenate(index), np.concatenate(value)
-
-
 def _solve_core(h, lp: LinearProgram) -> np.ndarray:
     model = h.HighsLp()
     model.num_col_ = lp.n_vars
@@ -179,7 +168,9 @@ def _solve_core(h, lp: LinearProgram) -> np.ndarray:
     matrix.format_ = h.MatrixFormat.kRowwise
     matrix.num_col_ = model.num_col_
     matrix.num_row_ = model.num_row_
-    matrix.start_, matrix.index_, matrix.value_ = _rowwise(lp.a_ge, lp.a_eq)
+    matrix.start_ = np.arange(model.num_row_ + 1) * lp.n_vars
+    matrix.index_ = np.tile(np.arange(lp.n_vars), model.num_row_)
+    matrix.value_ = np.concatenate([lp.a_ge, lp.a_eq]).ravel()
 
     highs = h._Highs()
     for name, value in {"output_flag": False, "presolve": "off", **_HIGHS_OPTIONS}.items():

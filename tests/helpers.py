@@ -189,14 +189,19 @@ def vertex_optimum(lp: LinearProgram) -> float | None:
     return best
 
 
-def random_feasible_lp(rng: np.random.Generator, n_vars: int) -> LinearProgram:
+def random_feasible_lp(rng: np.random.Generator, n_vars: int,
+                       zero_heavy: bool = False) -> LinearProgram:
     """A bounded, feasible LP on the probability simplex with a few
     random inequality rows satisfied strictly at a random interior
-    point."""
+    point.  With ``zero_heavy`` about half of each inequality row is
+    exactly 0, and one entry is 1e-13, below HiGHS's small_matrix_value."""
     x0 = rng.random(n_vars) + 0.1
     x0 /= x0.sum()
     n_ineq = int(rng.integers(1, 4))
     a_ge = rng.normal(size=(n_ineq, n_vars))
+    if zero_heavy:
+        a_ge[rng.random(a_ge.shape).argsort(axis=1) < n_vars // 2] = 0.0
+        a_ge[int(rng.integers(n_ineq)), int(rng.integers(n_vars))] = 1e-13
     b_ge = a_ge @ x0 - rng.random(n_ineq) * 0.5
     a_eq = np.ones((1, n_vars))
     b_eq = np.array([1.0])

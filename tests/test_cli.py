@@ -333,6 +333,16 @@ class TestFiles:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert received == self._plain_output(capsys, tmp_path)
 
+    @pytest.mark.parametrize("command", [
+        ("table", "--n", "10", "--m", "3", "--zeta", "3", "--beta", "1e-6"), LIMITS,
+    ], ids=["table", "lower-limit"])
+    def test_output_into_missing_directory_names_the_target(self, capsys, tmp_path, command):
+        # Not the temporary sibling, whose random name would make stderr
+        # differ from run to run.
+        path = tmp_path / "missing" / "out.csv"
+        assert run_cli(capsys, *command, "--output", str(path)) == (
+            3, "", f"error: [Errno 2] No such file or directory: {str(path)!r}\n")
+
     def test_output_file_mode_follows_umask(self, capsys, tmp_path):
         path = tmp_path / "limits.csv"
         old = os.umask(0o027)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
+import scencert
 from scencert import simplex
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector
 from scencert.refinement import refine
@@ -121,12 +122,22 @@ def test_validation_errors():
                       np.zeros((0, 1)), np.zeros(0))
 
 
-def test_against_vertex_enumeration_oracle():
+def test_package_exports_simplex_error():
+    assert "SimplexError" in scencert.__all__
+    assert scencert.SimplexError is scencert.simplex.SimplexError
+
+
+def _oracle_lps():
+    """25 random programs, then 10 whose inequality rows are half zeros."""
     rng = np.random.default_rng(40)
-    solved = 0
-    while solved < 25:
-        n_vars = int(rng.integers(2, 9))
-        lp = random_feasible_lp(rng, n_vars)
+    lps = [random_feasible_lp(rng, int(rng.integers(2, 9))) for _ in range(25)]
+    rng = np.random.default_rng(41)
+    return lps + [random_feasible_lp(rng, int(rng.integers(4, 9)), zero_heavy=True)
+                  for _ in range(10)]
+
+
+def test_against_vertex_enumeration_oracle():
+    for lp in _oracle_lps():
         expected = vertex_optimum(lp)
         assert expected is not None  # construction guarantees feasibility
         solution = lp_solve(lp)
@@ -135,7 +146,6 @@ def test_against_vertex_enumeration_oracle():
         assert np.all(lp.a_ge @ solution.x >= lp.b_ge - 1e-8)
         assert lp.a_eq @ solution.x == pytest.approx(lp.b_eq, abs=1e-8)
         assert np.all(solution.x >= -1e-12)
-        solved += 1
 
 
 def test_beale_cycling_example():
@@ -157,11 +167,6 @@ def test_beale_cycling_example():
     solution = lp_solve(lp)
     assert solution.objective == pytest.approx(1.25, abs=1e-12)
     assert solution.x == pytest.approx(np.array([1.0, 0.0, 1.0, 0.0]), abs=1e-12)
-
-
-def _oracle_lps():
-    rng = np.random.default_rng(40)
-    return [random_feasible_lp(rng, int(rng.integers(2, 9))) for _ in range(25)]
 
 
 def test_missing_highs_core_selects_the_fallback(monkeypatch):
