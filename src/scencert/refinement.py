@@ -142,9 +142,10 @@ def build_refinement_lp(
         if bad.any():
             i = int(np.argmax(bad))
             raise RefinementError(k, int(l[i]), f"log scale={top[i]!r}, rhs={row_rhs[i]!r}")
-        a_ge[rows, k:] = np.exp(terms - top[:, None])
-        start += l.size
         objective[k:] += np.exp(terms - ev.log_beta - (n - k) * np.log(t)[:, None]).sum(axis=0)
+        terms -= top[:, None]
+        np.exp(terms, out=a_ge[rows, k:])
+        start += l.size
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.
     a_ge[-1, problem.zeta : n] = 1.0
     b_ge[-1] = tau

@@ -10,9 +10,13 @@ Problems are stated as
 ``lp_solve`` runs the dual revised simplex of HiGHS (Huangfu & Hall,
 Math. Prog. Comp. 10, 2018), which ships with SciPy.  Its extension
 module is loaded by file path on the first solve, so ``scipy.optimize``
-(about 23 MB of resident memory) is never imported; where that private
-module is missing or will not load, ``scipy.optimize.linprog`` runs
-HiGHS with the same fixed options:
+(about 23 MB of resident memory) is never imported.  ``passModel``
+takes the program as NumPy arrays: the raveled dense rows of ``[a_ge;
+a_eq]``, int32 row starts every ``n_vars`` entries and the column
+indices ``0..n_vars-1`` for each row, so a program of 2^31 entries or
+more raises ``SimplexError``.  Where that private module is missing or
+will not load, ``scipy.optimize.linprog`` runs HiGHS.  Both paths fix
+these options:
 
 - ``output_flag`` off;
 - ``presolve`` off: near their fixed point every row of the refinement
@@ -24,9 +28,10 @@ HiGHS with the same fixed options:
   refinement's mass floor of 1e-9;
 - ``small_matrix_value`` 1e-12, set before the model is passed: at the
   default 1e-9 HiGHS dropped 37,051 entries of a (500, 500, 18)
-  refinement step's matrix, and the dual simplex then stalled.  The
-  program's dense rows are passed as they are, so this is also where
-  their exact zeros are dropped.
+  refinement step's matrix, and the dual simplex then stalled.  It also
+  drops the dense rows' exact zeros;
+- ``simplex_iteration_limit`` 10,000, a deterministic backstop for a
+  stalled solve: no refinement program measured took over 693.
 """
 
 from __future__ import annotations
@@ -57,8 +62,11 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "simplex_scale_strategy": 0,
     "small_matrix_value": 1e-12,
+    "simplex_iteration_limit": 10_000,
 }
 _HIGHS_CORE = "scipy.optimize._highspy._core"
+# HiGHS indexes the matrix with 32-bit integers, row starts included.
+_MAX_HIGHS_INDEX = int(np.iinfo(np.int32).max)
 
 
 class LPError(RuntimeError):
@@ -155,28 +163,20 @@ def _load_highs():
 
 
 def _solve_core(h, lp: LinearProgram) -> np.ndarray:
-    model = h.HighsLp()
-    model.num_col_ = lp.n_vars
-    model.num_row_ = lp.b_ge.size + lp.b_eq.size
-    model.sense_ = h.ObjSense.kMaximize
-    model.col_cost_ = lp.c
-    model.col_lower_ = np.zeros(lp.n_vars)
-    model.col_upper_ = np.full(lp.n_vars, h.kHighsInf)
-    model.row_lower_ = np.concatenate([lp.b_ge, lp.b_eq])
-    model.row_upper_ = np.concatenate([np.full(lp.b_ge.size, h.kHighsInf), lp.b_eq])
-    matrix = model.a_matrix_
-    matrix.format_ = h.MatrixFormat.kRowwise
-    matrix.num_col_ = model.num_col_
-    matrix.num_row_ = model.num_row_
-    matrix.start_ = np.arange(model.num_row_ + 1) * lp.n_vars
-    matrix.index_ = np.tile(np.arange(lp.n_vars), model.num_row_)
-    matrix.value_ = np.concatenate([lp.a_ge, lp.a_eq]).ravel()
-
+    n, rows = lp.n_vars, lp.b_ge.size + lp.b_eq.size
+    if rows * n > _MAX_HIGHS_INDEX:
+        raise SimplexError(f"{rows} x {n} matrix entries overflow HiGHS's 32-bit indices")
     highs = h._Highs()
     for name, value in {"output_flag": False, "presolve": "off", **_HIGHS_OPTIONS}.items():
         if highs.setOptionValue(name, value) == h.HighsStatus.kError:
             raise SimplexError(f"HiGHS rejected option {name}={value!r}")
-    if highs.passModel(model) == h.HighsStatus.kError:
+    status = highs.passModel(
+        n, rows, rows * n, int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMaximize), 0.0,
+        lp.c, np.zeros(n), np.full(n, h.kHighsInf), np.concatenate([lp.b_ge, lp.b_eq]),
+        np.concatenate([np.full(lp.b_ge.size, h.kHighsInf), lp.b_eq]),
+        np.arange(0, rows * n, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), rows),
+        np.concatenate([lp.a_ge, lp.a_eq]).ravel(), np.zeros(n, dtype=np.int32))
+    if status == h.HighsStatus.kError:
         raise SimplexError("HiGHS rejected the model")
     highs.run()
     status = highs.getModelStatus()

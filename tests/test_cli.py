@@ -1,11 +1,13 @@
 """Command-line interface: values, files, determinism, exit codes."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import shlex
 import stat
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from scencert.cli import main
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, _SignEvaluator
 from scencert.serialize import parse_coefficients
 
-from helpers import dense_margin
+from helpers import dense_margin, exact_certificate_sign
 
 # The linprog fallback runs an older HiGHS, whose weights may differ in the
 # last digits.
@@ -301,6 +303,28 @@ class TestFiles:
         code, _, _ = run_cli(capsys, *args, str(out_path))
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "serialize rounds eps to the nearest 12 digits, so a printed eps can "
+        "fall below the exact certificate"))
+    def test_printed_eps_is_not_below_the_exact_certificate(self, capsys, tmp_path):
+        # Cells of the paper's uniform grids whose printed eps is known to be
+        # 2-5e-13 below the exact one: t = 1 - eps reads sign -1 there.
+        known = {(100, 100): [(0, 32), (7, 0), (14, 54), (17, 59)],
+                 (500, 500): [(18, 50), (18, 83)]}
+        unsafe = []
+        for (n, m), cells in known.items():
+            out_path = tmp_path / f"table-{n}-{m}.csv"
+            code, _, _ = run_cli(capsys, "table", "--n", str(n), "--m", str(m), "--zeta",
+                                 "18", "--beta", "1e-6", "--output", str(out_path))
+            assert code == 0
+            eps = {(int(row["k"]), int(row["l"])): row["eps"]
+                   for row in csv.DictReader(out_path.read_text().splitlines())}
+            p = CertificateProblem(n, m, 18, 1e-6)
+            uniform = CoefficientVector.uniform(p)
+            unsafe += [(n, m, k, l) for k, l in cells
+                       if exact_certificate_sign(1 - Fraction(eps[k, l]), k, l, p, uniform) < 0]
+        assert not unsafe
 
     LIMITS = ("lower-limit", "--n", "40", "--m", "4", "--zeta", "5", "--beta", "1e-6")
 

@@ -12,12 +12,14 @@ import scipy
 
 import scencert
 from scencert import simplex
-from scencert.posterior_bounds import CertificateProblem, CoefficientVector
-from scencert.refinement import refine
+from scencert.cli import main
+from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
+from scencert.refinement import build_refinement_lp, refine
 from scencert.simplex import (
     LinearProgram,
     LPInfeasibleError,
     LPUnboundedError,
+    SimplexError,
     lp_solve,
 )
 
@@ -209,3 +211,28 @@ def test_refine_never_imports_scipy_optimize():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@needs_highs_core
+def test_matrix_beyond_32_bit_indices_is_refused(monkeypatch, capsys):
+    # Lowering the limit stands in for a program of 2^31 entries.
+    lp = _oracle_lps()[0]
+    entries = (lp.b_ge.size + lp.b_eq.size) * lp.n_vars
+    monkeypatch.setattr(simplex, "_MAX_HIGHS_INDEX", entries - 1)
+    with pytest.raises(SimplexError, match="32-bit"):
+        lp_solve(lp)
+    monkeypatch.setattr(simplex, "_MAX_HIGHS_INDEX", 1000)
+    assert main(["refine", "--n", "100", "--m", "5", "--zeta", "8", "--beta", "1e-6"]) == 4
+    assert capsys.readouterr().out.startswith("lp_failure after 0 refinement steps")
+
+
+@needs_highs_core
+def test_iteration_limit_ends_refine_in_lp_failure(monkeypatch):
+    # The first refinement step at (100, 5, 8) takes 6 simplex iterations.
+    problem = CertificateProblem(100, 5, 8, 1e-6)
+    initial = CoefficientVector.uniform(problem)
+    lp = build_refinement_lp(bound_table(problem, initial), problem)
+    monkeypatch.setitem(simplex._HIGHS_OPTIONS, "simplex_iteration_limit", 1)
+    with pytest.raises(SimplexError, match="[Ii]teration limit"):
+        lp_solve(lp)
+    assert refine(problem, initial).termination == "lp_failure"
