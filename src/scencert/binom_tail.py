@@ -23,7 +23,6 @@ from scipy.special import betainc, gammaln
 __all__ = [
     "log_binom_coeff",
     "log_sum_exp",
-    "log_binom_tails",
     "log_binom_cdf",
     "binom_cdf",
 ]
@@ -76,15 +75,21 @@ def log_sum_exp(log_terms):
     input yields ``-inf``.  A 1-d input gives a float, a stack of rows
     one value per row.
     """
-    arr = np.asarray(log_terms, dtype=float)
+    arr = np.array(log_terms, dtype=float)
     if arr.size == 0:
         return -math.inf
-    mx = arr.max(axis=-1, keepdims=True)
-    dead = mx == -math.inf  # all -inf: shift by 0 and take ln 1, not ln 0
-    shifted = arr - np.where(dead, 0.0, mx)
-    total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True) + dead
-    out = (mx + np.log(total))[..., 0]
+    out = _log_sum_exp_inplace(arr)
     return float(out) if out.ndim == 0 else out
+
+
+def _log_sum_exp_inplace(buf: np.ndarray) -> np.ndarray:
+    """``log_sum_exp`` over the last axis of a float buffer, one value per
+    row, overwriting the buffer with the shifted exponentials."""
+    top = buf.max(axis=-1, keepdims=True)
+    dead = top == -math.inf  # all -inf: shift by 0 and take ln 1, not ln 0
+    buf -= np.where(dead, 0.0, top)
+    total = np.exp(buf, out=buf).sum(axis=-1, keepdims=True) + dead
+    return (top + np.log(total))[..., 0]
 
 
 def log_binom_tails(m, l, log_x, log_1mx):

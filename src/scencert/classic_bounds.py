@@ -19,8 +19,6 @@ from .binom_tail import log_binom_cdf
 
 __all__ = [
     "DEFAULT_TOL",
-    "MAX_BISECT_ITER",
-    "bisect",
     "ChernoffBound",
     "chernoff_bound",
     "clopper_pearson",

@@ -42,7 +42,6 @@ from .scenario_lab import (
     run_monte_carlo,
     solve_scenario,
 )
-from .simplex import LPError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 3
@@ -316,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RefinementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except LPError as exc:
-        print(f"LP failure: {exc}", file=sys.stderr)
-        return EXIT_LP
 
 
 if __name__ == "__main__":

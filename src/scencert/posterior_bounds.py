@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binom_tail import _BATCH_ELEMENTS, _log_comb, log_binom_tails
+from .binom_tail import _BATCH_ELEMENTS, _log_comb, _log_sum_exp_inplace, log_binom_tails
 from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
 
 __all__ = [
@@ -175,14 +175,10 @@ class _SignEvaluator:
         if self._log_terms is None:
             tail = log_binom_tails(self.n + 1, self.n - k, log_t, log_1mt)
             return self._log_a - (k + 1) * log_1mt + tail
-        # One buffer of support terms, reduced in place as log_sum_exp would.
         buf = self._powers[k]
         buf *= log_t[:, None]
         buf += self._log_terms[k]
-        top = buf.max(axis=1, keepdims=True)
-        buf -= top
-        np.exp(buf, out=buf)
-        return top[:, 0] + np.log(buf.sum(axis=1))
+        return _log_sum_exp_inplace(buf)
 
     def _tail_side(self, log_t, log_1mt, k, l, m) -> np.ndarray:
         # ln(C(n, k) t^(n-k) B_m(1-t; l)); l == m gives B = 1, covering m == 0.

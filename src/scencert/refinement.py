@@ -11,6 +11,7 @@ toward the Pareto boundary of the family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,9 @@ __all__ = [
     "RefinementError",
     "dominance_check",
     "build_refinement_lp",
-    "lp_solve",
     "RefinementIteration",
     "RefinementTrace",
     "refine",
-    "DEFAULT_TAU",
-    "DEFAULT_TOL_CONVERGE",
-    "DEFAULT_MAX_ITER",
 ]
 
 DEFAULT_TAU = 1e-9
@@ -47,6 +44,11 @@ DEFAULT_MAX_ITER = 50
 # reported grid comes from bound_table on a validated vector, and a step
 # that lowers a root ends the run in lp_failure.
 _CONDITION_REFUSE_N = 5000
+
+# Largest log of an objective term summed as it is.  Past it the objective
+# is held divided by a factor that keeps its largest term at exp(_OBJ_LOG_CAP),
+# so no sum of cells overflows; below it that factor is exactly 1.
+_OBJ_LOG_CAP = 600.0
 
 
 class RefinementError(RuntimeError):
@@ -116,20 +118,25 @@ def build_refinement_lp(
     for a whole grid row from one ``_SignEvaluator.log_sides`` call and
     scaled so that its largest coefficient is 1.  A cell whose stored
     root is 0 (below the root tolerance) gets no row: its eps is already
-    1 and cannot rise.  The objective sums C(j, k) t^(j-n) over the
-    cells.  One more row keeps mass >= tau (0 < tau <= 1) on indices
-    zeta..n-1, one equality normalizes the total mass.  A non-finite cell
-    row raises ``RefinementError`` naming the first such cell.
+    1 and cannot rise.  A table whose roots are all 0 raises
+    ``ValueError``.  The objective sums C(j, k) t^(j-n) over the cells,
+    divided by its largest entry.  One more row keeps mass >= tau
+    (0 < tau <= 1) on indices zeta..n-1, one equality normalizes the
+    total mass.  A non-finite cell row raises ``RefinementError`` naming
+    the first such cell.
     """
     if problem != table.problem:
         raise ValueError("table was built for a different problem")
     _check_tau(tau)
     _check_size(problem)
+    if not (table.t > 0.0).any():
+        raise ValueError("every root is 0, so no cell has an LP row")
     n = problem.n
     ev = _SignEvaluator(problem, table.coefficients)
     a_ge = np.zeros((np.count_nonzero(table.t > 0.0) + 1, n + 1))
     b_ge = np.empty(a_ge.shape[0])
     objective = np.zeros(n + 1)
+    obj_shift = 0.0  # the objective is held divided by exp(obj_shift)
     start = 0
     for k in range(problem.zeta + 1):
         l = np.flatnonzero(table.t[k] > 0.0)
@@ -142,7 +149,15 @@ def build_refinement_lp(
         if bad.any():
             i = int(np.argmax(bad))
             raise RefinementError(k, int(l[i]), f"log scale={top[i]!r}, rhs={row_rhs[i]!r}")
-        objective[k:] += np.exp(terms - ev.log_beta - (n - k) * np.log(t)[:, None]).sum(axis=0)
+        # ln(C(j, k) t^(j-n)) is terms - ln beta - (n-k) ln t, largest where terms is.
+        log_t_n = (n - k) * np.log(t)
+        log_top = np.max(top - ev.log_beta - log_t_n, initial=-math.inf)
+        shift = max(obj_shift, float(log_top) - _OBJ_LOG_CAP)
+        objective *= math.exp(obj_shift - shift)  # exactly 1 unless the shift grows
+        obj_shift = shift
+        log_obj = terms - ev.log_beta
+        log_obj -= (log_t_n + obj_shift)[:, None]
+        objective[k:] += np.exp(log_obj, out=log_obj).sum(axis=0)
         terms -= top[:, None]
         np.exp(terms, out=a_ge[rows, k:])
         start += l.size
@@ -150,10 +165,7 @@ def build_refinement_lp(
     a_ge[-1, problem.zeta : n] = 1.0
     b_ge[-1] = tau
 
-    obj_scale = float(np.abs(objective).max())
-    if not (np.isfinite(obj_scale) and obj_scale > 0.0):
-        raise RefinementError(-1, -1, f"objective scale {obj_scale!r}")
-    objective /= obj_scale
+    objective /= objective.max()
 
     a_eq = np.ones((1, n + 1))
     b_eq = np.array([1.0])

@@ -19,6 +19,8 @@ from operator import index
 
 import numpy as np
 
+from .scenario_lab import IncrementalStep, TrialRecord
+
 __all__ = [
     "fmt",
     "table_csv",
@@ -43,8 +45,8 @@ _REALS = frozenset({"t", "eps", "eps_lower", "v_true", "eps_sr", "eps_s", "eta",
                     "chernoff", "mean_gap", "std_gap", "empirical_confidence",
                     "frequency", "mean_r_over_m"})
 # A TrialRecord's fields in order; its last field, tie, is not printed.
-_RECORD_COLUMNS = ("run", "s", "r", "v_true", "eps_sr", "eps_s", "eta", "chernoff")
-_STEP_COLUMNS = ("m", "r", "eta", "eps")
+_RECORD_COLUMNS = TrialRecord._fields[:-1]
+_STEP_COLUMNS = IncrementalStep._fields
 
 
 def fmt(x: float) -> str:

@@ -213,17 +213,17 @@ class TestExitCodes:
         assert "array of numbers" in err
 
     def test_lp_failure_maps_to_exit_four(self, capsys, monkeypatch):
-        import scencert.cli as cli_module
+        import scencert.refinement as refinement_module
         from scencert.simplex import LPInfeasibleError
 
         def boom(*args, **kwargs):
             raise LPInfeasibleError("synthetic")
 
-        monkeypatch.setattr(cli_module, "refine", boom)
-        code, _, err = run_cli(capsys, "refine", "--n", "30", "--m", "2",
+        monkeypatch.setattr(refinement_module, "lp_solve", boom)
+        code, out, _ = run_cli(capsys, "refine", "--n", "30", "--m", "2",
                                "--zeta", "3", "--beta", "1e-6")
         assert code == 4
-        assert "LP failure" in err
+        assert out == "lp_failure after 0 refinement steps\n"
 
     @pytest.mark.parametrize("n, m, zeta", [(100, 20, 8), (200, 20, 10), (300, 30, 10),
                                             (500, 200, 18)])

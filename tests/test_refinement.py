@@ -1,11 +1,13 @@
 """Coefficient refinement: LP construction, dominance, convergence."""
 
 import json
+import warnings
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
@@ -78,6 +80,10 @@ class TestBuildRefinementLp:
         assert np.count_nonzero(table.t == 0.0) == 1
         lp = build_refinement_lp(table, p)
         assert lp.a_ge.shape[0] - 1 == table.t.size - 1  # the mass floor is last
+        p = CertificateProblem(2, 0, 1, 1e-300)
+        table = bound_table(p, CoefficientVector.uniform(p), TOL)
+        with pytest.raises(ValueError, match="every root is 0"):
+            build_refinement_lp(table, p)
 
     def test_non_finite_row_names_its_first_cell(self, monkeypatch):
         p, a = fig_config()
@@ -94,6 +100,23 @@ class TestBuildRefinementLp:
         with pytest.raises(RefinementError) as info:
             build_refinement_lp(table, p)
         assert (info.value.k, info.value.l) == (4, 2)
+
+    def test_objective_past_the_float_range_is_rescaled(self):
+        # zeta near n puts objective terms C(j, k) t^(j-n) near exp(706),
+        # so the objective is summed under a shift and still peaks at 1.
+        p = CertificateProblem(1000, 1, 999, 1e-6)
+        table = bound_table(p, CoefficientVector.uniform(p), TOL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lp = build_refinement_lp(table, p)
+        assert np.all(np.isfinite(lp.c)) and lp.c.max() == 1.0
+        # The same sums over the cells, taken in log space.
+        k, l = np.nonzero(table.t > 0.0)
+        t, j = table.t[k, l][:, None], np.arange(p.n + 1)
+        log_terms = gammaln(j + 1) - gammaln(k[:, None] + 1) - gammaln(
+            np.maximum(j - k[:, None], 0) + 1) + (j - p.n) * np.log(t)
+        log_c = np.logaddexp.reduce(np.where(j >= k[:, None], log_terms, -np.inf), axis=0)
+        np.testing.assert_allclose(lp.c, np.exp(log_c - log_c.max()), rtol=1e-9, atol=1e-300)
 
     def test_rejects_bad_tau(self):
         p, a = fig_config()

@@ -125,6 +125,20 @@ def test_validation_errors():
 
 
 def test_package_exports_simplex_error():
+    # The package surface is its modules' __all__ lists, each name defined
+    # where it is listed, so no module re-lists another's name.
+    modules = [scencert.binom_tail, scencert.classic_bounds, scencert.posterior_bounds,
+               scencert.lower_limits, scencert.simplex, scencert.refinement,
+               scencert.scenario_lab]
+    listed = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert sorted(scencert.__all__) == sorted(listed)
+    assert len(set(scencert.__all__)) == len(scencert.__all__)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(scencert, name) is obj
+            if isinstance(obj, type) or callable(obj):
+                assert obj.__module__ == module.__name__, name
     assert "SimplexError" in scencert.__all__
     assert scencert.SimplexError is scencert.simplex.SimplexError
 
