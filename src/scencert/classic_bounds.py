@@ -39,7 +39,7 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"require finite {name} > 0, got {tol}")
 
 
-def bisect(value: Callable, size: int, tol: float):
+def bisect(value: Callable, size: int, tol: float, guess=None):
     """Final brackets (lo, hi), as float arrays, of ``size`` roots in [0, 1].
 
     ``value(x, cells)`` is >= 0 below the roots of cells and < 0 or nan
@@ -51,27 +51,61 @@ def bisect(value: Callable, size: int, tol: float):
     until both ends are finite (0 and 1 count as +-inf), at most L + 2 in
     all to one grid step, where bisection ends if the sign is monotone
     there, or until no double lies inside, within MAX_BISECT_ITER steps.
+
+    ``guess`` optionally holds an estimate of each root.  A cell whose
+    guess lies strictly inside (0, 1) is first evaluated at the guess's
+    grid point g, then at g's grid neighbour on the root's side: g + 2^-L
+    if g is judged below the root, g - 2^-L if above.  ITP then restarts
+    on the bracket those two points leave.  An unmoved root thus takes two
+    points, and since a monotone sign changes at one grid step, a guess
+    changes how many points a cell takes but never its bracket.
     """
     spacing = 2.0 ** -next((j for j in range(MAX_BISECT_ITER) if 2.0**-j < tol), MAX_BISECT_ITER)
+    exact = spacing >= 2.0**-53  # every grid point in [0, 1] is a double
     lo, hi = np.zeros(size), np.ones(size)
-    f_lo, f_hi = np.full(size, np.inf), np.full(size, -np.inf)
+    # The open cells: their indices, brackets and end values.
+    cells, a, b = np.arange(size), lo.copy(), hi.copy()
+    f_a, f_b = np.full(size, np.inf), np.full(size, -np.inf)
+    # A guessed cell's next point while its guess leads (nan for the
+    # rest), then the step its restarted ITP counts from.
+    lead = offset = None
+    if guess is not None:
+        guess = np.ravel(guess)
+        lead = np.where((guess > 0.0) & (guess < 1.0), np.round(guess / spacing) * spacing, np.nan)
     for step in range(MAX_BISECT_ITER):
-        cells = np.flatnonzero((hi - lo > spacing) & (np.nextafter(lo, 1.0) < hi))
+        width = b - a
+        keep = width > spacing if exact else (width > spacing) & (np.nextafter(a, 1.0) < b)
+        if not keep.all():
+            shut = ~keep
+            lo[cells[shut]], hi[cells[shut]] = a[shut], b[shut]
+            cells, a, b, f_a, f_b, width = (v[keep] for v in (cells, a, b, f_a, f_b, width))
+            lead = None if lead is None else lead[keep]
+            offset = None if offset is None else offset[keep]
         if not cells.size:
             break
-        a, b, f_a, f_b = lo[cells], hi[cells], f_lo[cells], f_hi[cells]
-        mid, width = 0.5 * (a + b), b - a
+        mid, gap = 0.5 * (a + b), f_a - f_b
         with np.errstate(invalid="ignore", over="ignore"):  # mid until ends are finite
-            falsi = np.where(np.isfinite(f_a - f_b), a + width * f_a / (f_a - f_b), mid)
-        side, trunc = np.sign(mid - falsi), 0.2 * width**2  # k1 * width^k2
-        x = np.where(trunc <= abs(mid - falsi), falsi + side * trunc, mid)
-        reach = 2.0 ** (1 - step) - 0.5 * width  # 2^(n0 - 1 - step) - width / 2, n0 = 2
+            falsi = np.where(np.isfinite(gap), a + width * f_a / gap, mid)
+        gap = mid - falsi
+        side, trunc = np.sign(gap), 0.2 * width**2  # k1 * width^k2
+        x = np.where(trunc <= abs(gap), falsi + side * trunc, mid)
+        # 2^(n0 - 1 - step) - width / 2, n0 = 2
+        reach = np.ldexp(1.0, 1 - step + (0 if offset is None else offset)) - 0.5 * width
         x = np.where(abs(x - mid) <= reach, x, mid - side * reach)
-        x = np.clip(np.round(x / spacing) * spacing, a + spacing, b - spacing)
-        x = np.clip(x, np.nextafter(a, 1.0), np.nextafter(b, 0.0))  # grid finer than doubles
+        if lead is not None:
+            x = np.where(np.isnan(lead), x, lead)
+        x = np.minimum(np.maximum(np.round(x / spacing) * spacing, a + spacing), b - spacing)
+        if not exact:
+            x = np.minimum(np.maximum(x, np.nextafter(a, 1.0)), np.nextafter(b, 0.0))
         below = (y := value(x, cells)) >= 0.0
-        lo[cells[below]], f_lo[cells[below]] = x[below], y[below]
-        hi[cells[~below]], f_hi[cells[~below]] = x[~below], y[~below]
+        a, f_a = np.where(below, x, a), np.where(below, y, f_a)
+        b, f_b = np.where(below, b, x), np.where(below, f_b, y)
+        if lead is not None and step == 0:  # then the neighbour on the root's side
+            lead = np.where(np.isnan(lead), lead, np.where(below, x + spacing, x - spacing))
+        elif lead is not None:  # ITP restarts on what the guess left, at its step for that width
+            offset = np.where(np.isnan(lead), 0, 2 + np.ceil(np.log2(b - a)).astype(int))
+            lead = None
+    lo[cells], hi[cells] = a, b
     return lo, hi
 
 

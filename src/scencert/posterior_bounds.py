@@ -158,10 +158,12 @@ class _SignEvaluator:
         weights, otherwise two rows of one term per nonzero weight (the
         powers and the gathered ln-terms), so no margin depends on which
         cells share its batch."""
-        t = np.asarray(t, dtype=float)
-        k, l, m = np.broadcast_arrays(k, l, self.m)
+        t, k, l = np.asarray(t, dtype=float), np.asarray(k), np.asarray(l)
         terms = 1 if self._log_terms is None else 2 * self._log_terms.shape[1]
         step = max(1, _BATCH_ELEMENTS // terms)
+        if t.size <= step and k.shape == l.shape == t.shape:
+            return self._margin(t, k, l, self.m)  # one batch, nothing to broadcast
+        k, l, m = np.broadcast_arrays(k, l, self.m)
         batches = [slice(s, s + step) for s in range(0, t.size, step)]
         return np.concatenate([self._margin(t[b], k[b], l[b], m[b]) for b in batches])
 
@@ -185,14 +187,23 @@ class _SignEvaluator:
         log_tail = log_binom_tails(m, l, log_1mt, log_t)
         return self._log_comb_n_k[k] + (self.n - k) * log_t + log_tail
 
-    def log_sides(self, t, k: int, l) -> tuple[np.ndarray, np.ndarray]:
-        """Unweighted log terms and log tail side at cells (k, l[i]), roots
-        t[i] in (0, 1): terms[i, j-k] = ln(beta C(j, k) t[i]^(j-k)) for
-        j = k..n and tail[i] = ln(C(n, k) t[i]^(n-k) B_m(1-t[i]; l[i])), so
-        the equation reads sum_j a_j exp(terms[i, j-k]) = exp(tail[i])."""
-        t, l = np.asarray(t, dtype=float), np.asarray(l)
-        log_t, i = np.log(t), np.arange(self.n - k + 1)
-        terms = self.log_beta + _log_comb(k + i, k) + i * log_t[:, None]
+    def log_sides(self, t, k, l) -> tuple[np.ndarray, np.ndarray]:
+        """Unweighted log terms and log tail side at cells (k[i], l[i]),
+        where k and l broadcast, at roots t[i] in (0, 1).  With k0 =
+        min(k), terms[i, j-k0] = ln(beta C(j, k[i]) t[i]^(j-k[i])) for j =
+        k[i]..n, -inf for j < k[i], and tail[i] = ln(C(n, k[i])
+        t[i]^(n-k[i]) B_m(1-t[i]; l[i])), so the equation reads
+        sum_j a_j exp(terms[i, j-k0]) = exp(tail[i]).  ln(beta C(j, k)) is
+        taken once for each k from k0 to max(k)."""
+        t = np.asarray(t, dtype=float)
+        k, l = np.broadcast_arrays(k, l)
+        ks = np.arange(int(k.min()), int(k.max()) + 1)[:, None]
+        log_t, j = np.log(t), np.arange(ks[0, 0], self.n + 1)
+        log_comb = np.where(j >= ks, self.log_beta + _log_comb(j, ks), -np.inf)
+        # Cell i takes the row of k[i] in both tables; one k broadcasts its row.
+        row = slice(None) if ks.size == 1 else k - ks[0, 0]
+        terms = np.subtract(j, ks, dtype=float)[row] * log_t[:, None]
+        terms += log_comb[row]  # -inf where j < k
         return terms, self._tail_side(log_t, np.log1p(-t), k, l, self.m)
 
 
@@ -227,17 +238,22 @@ def certificate_sign(
     return int(np.sign(_SignEvaluator(problem, coeffs).margin([t], k, [l])[0]))
 
 
-def _roots(ev: _SignEvaluator, k, l: np.ndarray, tol: float) -> np.ndarray:
-    # One cold solve on [0, 1] for the cells (k[i], l[i]) together; the
-    # margin is >= 0 at each lower end, so eps = 1 - lower is safe.
+def _roots(ev: _SignEvaluator, k, l: np.ndarray, tol: float, guess=None) -> np.ndarray:
+    # One solve for the cells (k[i], l[i]) together, cold on [0, 1] or
+    # from guess[i]; the margin is >= 0 at each lower end, so eps = 1 -
+    # lower is safe.
     k, l, m = np.broadcast_arrays(k, l, ev.m)
-
-    def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    if ev.m.ndim == 0:
+        def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+            return ev.margin(t, k[cells], l[cells])
+    else:
         sub = copy.copy(ev)  # whose trial counts follow the open cells
-        sub.m = m[cells]
-        return sub.margin(t, k[cells], l[cells])
 
-    return bisect(margin, l.size, tol)[0]
+        def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+            sub.m = m[cells]
+            return sub.margin(t, k[cells], l[cells])
+
+    return bisect(margin, l.size, tol, guess)[0]
 
 
 def solve_root(
@@ -296,10 +312,20 @@ def bound_table(
     the cells still open; each follows the points ``solve_root`` follows
     for it alone and reports the same lower bracket end, bit for bit.
     """
+    return _bound_table(problem, coeffs, tol)
+
+
+def _bound_table(
+    problem: CertificateProblem, coeffs: CoefficientVector, tol: float, guess=None
+) -> BoundTable:
+    # ``bound_table``, with each cell's solve started from guess[k, l] if
+    # given: same roots, bit for bit, wherever the margin's sign is
+    # monotone on the root grid, and two margins a cell if its root is
+    # unmoved.
     coeffs.validate_for(problem)
     check_tol(tol)
     k, l = np.indices((problem.zeta + 1, problem.m + 1)).reshape(2, -1)
-    t = _roots(_SignEvaluator(problem, coeffs), k, l, tol).reshape(problem.zeta + 1, -1)
+    t = _roots(_SignEvaluator(problem, coeffs), k, l, tol, guess).reshape(problem.zeta + 1, -1)
     return BoundTable(problem, coeffs, tol, t, 1.0 - t)
 
 

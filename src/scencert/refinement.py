@@ -16,15 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binom_tail import _BATCH_ELEMENTS
 from .classic_bounds import DEFAULT_TOL, check_tol
 from .posterior_bounds import (
     BoundTable,
     CertificateProblem,
     CoefficientVector,
+    _bound_table,
     _SignEvaluator,
     bound_table,
 )
-from .simplex import LinearProgram, LPError, lp_solve
+from .simplex import LinearProgram, LPError, _new_highs, lp_solve
 
 __all__ = [
     "RefinementError",
@@ -44,6 +46,14 @@ DEFAULT_MAX_ITER = 50
 # reported grid comes from bound_table on a validated vector, and a step
 # that lowers a root ends the run in lp_failure.
 _CONDITION_REFUSE_N = 5000
+
+# HiGHS keeps the memory of its largest solve until its instance is freed,
+# about 620 MB after the 9.5 M entries of a (1000, 500, 18) step, and
+# clearing the model does not return it.  A run keeps its one instance
+# while each program has at most this many entries (a few MB kept), where
+# setting up an instance costs about 0.2 ms of a 1 to 1.5 ms solve; past
+# it, each solve makes its own instance and frees it on return.
+_KEEP_HIGHS_ENTRIES = 1 << 16
 
 # Largest log of an objective term summed as it is.  Past it the objective
 # is held divided by a factor that keeps its largest term at exp(_OBJ_LOG_CAP),
@@ -129,39 +139,55 @@ def build_refinement_lp(
         raise ValueError("table was built for a different problem")
     _check_tau(tau)
     _check_size(problem)
-    if not (table.t > 0.0).any():
+    k, l = np.nonzero(table.t > 0.0)
+    if not k.size:
         raise ValueError("every root is 0, so no cell has an LP row")
     n = problem.n
     ev = _SignEvaluator(problem, table.coefficients)
-    a_ge = np.zeros((np.count_nonzero(table.t > 0.0) + 1, n + 1))
-    b_ge = np.empty(a_ge.shape[0])
+    t = table.t[k, l]
+    a_ge = np.empty((k.size + 1, n + 1))
+    b_ge = np.empty(k.size + 1)
     objective = np.zeros(n + 1)
     obj_shift = 0.0  # the objective is held divided by exp(obj_shift)
-    start = 0
-    for k in range(problem.zeta + 1):
-        l = np.flatnonzero(table.t[k] > 0.0)
-        t = table.t[k, l]
-        terms, tail = ev.log_sides(t, k, l)
+    # Row k's cells are starts[k]:starts[k + 1].  A batch takes whole grid
+    # rows, as many as fit _BATCH_ELEMENTS entries, and at least one cell.
+    starts = np.searchsorted(k, np.arange(problem.zeta + 2))
+    first, end, cells_per_batch = int(k[0]), int(k[-1]) + 1, _BATCH_ELEMENTS // (n + 1)
+    while first < end:
+        last = first + 1
+        while last < end and (starts[last] == starts[first]
+                              or starts[last + 1] - starts[first] <= cells_per_batch):
+            last += 1
+        rows = slice(starts[first], starts[last])
+        terms, tail = ev.log_sides(t[rows], k[rows], l[rows])
         top = terms.max(axis=1)
-        rows = slice(start, start + l.size)
         b_ge[rows] = row_rhs = np.exp(tail - top)
         bad = ~(np.isfinite(top) & np.isfinite(row_rhs))
         if bad.any():
-            i = int(np.argmax(bad))
-            raise RefinementError(k, int(l[i]), f"log scale={top[i]!r}, rhs={row_rhs[i]!r}")
+            i = rows.start + int(np.argmax(bad))
+            raise RefinementError(int(k[i]), int(l[i]),
+                                  f"log scale={top[i - rows.start]!r}, rhs={b_ge[i]!r}")
+        a_ge[rows, :first] = 0.0
+        row_terms = np.subtract(terms, top[:, None], out=a_ge[rows, first:])
+        np.exp(row_terms, out=row_terms)
         # ln(C(j, k) t^(j-n)) is terms - ln beta - (n-k) ln t, largest where terms is.
-        log_t_n = (n - k) * np.log(t)
-        log_top = np.max(top - ev.log_beta - log_t_n, initial=-math.inf)
-        shift = max(obj_shift, float(log_top) - _OBJ_LOG_CAP)
-        objective *= math.exp(obj_shift - shift)  # exactly 1 unless the shift grows
-        obj_shift = shift
-        log_obj = terms - ev.log_beta
-        log_obj -= (log_t_n + obj_shift)[:, None]
-        objective[k:] += np.exp(log_obj, out=log_obj).sum(axis=0)
-        terms -= top[:, None]
-        np.exp(terms, out=a_ge[rows, k:])
-        start += l.size
+        log_t_n = (n - k[rows]) * np.log(t[rows])
+        log_top = top - ev.log_beta - log_t_n
+        terms -= ev.log_beta
+        # Summed one grid row at a time, and in order, as the shift may grow.
+        for row in range(first, last):
+            cells = slice(starts[row] - rows.start, starts[row + 1] - rows.start)
+            if cells.start == cells.stop:
+                continue
+            shift = max(obj_shift, float(log_top[cells].max()) - _OBJ_LOG_CAP)
+            objective *= math.exp(obj_shift - shift)  # exactly 1 unless the shift grows
+            obj_shift = shift
+            block = terms[cells]
+            block -= (log_t_n[cells] + obj_shift)[:, None]
+            objective[first:] += np.exp(block, out=block).sum(axis=0)
+        first = last
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.
+    a_ge[-1] = 0.0
     a_ge[-1, problem.zeta : n] = 1.0
     b_ge[-1] = tau
 
@@ -228,16 +254,20 @@ def refine(
     if not (table.t > 0.0).any():
         # Every eps is already 1: no cell has an LP row, nothing can rise.
         return RefinementTrace(iterations, "converged")
-    termination = "max_iter"
+    termination, highs = "max_iter", None
     for step in range(1, max_iter + 1):
         lp = build_refinement_lp(table, problem, tau)
         try:
-            x = lp_solve(lp).x
+            if lp.a_ge.size > _KEEP_HIGHS_ENTRIES:
+                highs = None  # lp_solve makes its own and frees it
+            elif highs is None:
+                highs = _new_highs()
+            x = lp_solve(lp, highs).x
             coeffs = CoefficientVector(x / x.sum(), problem, scheme="refined")
         except (LPError, ValueError):
             termination = "lp_failure"
             break
-        new_table = bound_table(problem, coeffs, tol_root)
+        new_table = _bound_table(problem, coeffs, tol_root, table.t)
         if np.any(new_table.t < table.t - 2.0 * tol_root):
             termination = "lp_failure"
             break

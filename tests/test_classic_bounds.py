@@ -98,6 +98,44 @@ class TestBisect:
         assert steps.max() <= _halvings(tol) + 2
 
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_cells, st.floats(-13.0, -3.0), st.data())
+    def test_guess_changes_points_not_brackets(self, cells, log_tol, data):
+        # Any guess, on the root's grid step or far off it, at 0 or 1 (a
+        # cold cell) or past the grid's ends, ends where bisection ends.
+        roots, slopes, family = (np.array(c) for c in zip(*cells))
+        value, tol = _monotone_values(roots, slopes, family), 10.0**log_tol
+        guess = np.array(data.draw(st.lists(
+            st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0]),
+                      st.integers(0, 4096).map(lambda i: i / 4096)),
+            min_size=roots.size, max_size=roots.size)))
+
+        def checked(x, open_):
+            assert np.all((0.0 < x) & (x < 1.0))
+            assert np.unique(open_).size == open_.size
+            return value(x, open_)
+
+        lo, hi = bisect(checked, roots.size, tol, guess)
+        ref_lo, ref_hi = reference_bisect(value, roots.size, tol)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+    def test_no_cells_take_no_points(self):
+        lo, hi = bisect(lambda x, cells: pytest.fail("evaluated"), 0, 1e-10)
+        assert lo.size == hi.size == 0
+
+    def test_guess_on_the_lower_end_takes_two_points(self):
+        roots = np.array([0.1, 1.0 / 3.0, 0.7, 0.95])
+        steps = np.zeros(roots.size, dtype=int)
+
+        def counted(x, cells):
+            steps[cells] += 1
+            return roots[cells] - x
+
+        cold, _ = bisect(lambda x, cells: roots[cells] - x, roots.size, 1e-10)
+        lo, _ = bisect(counted, roots.size, 1e-10, cold)
+        assert np.array_equal(lo, cold) and steps.tolist() == [2, 2, 2, 2]
+
+
 class TestChernoff:
     def test_published_worked_value(self):
         assert chernoff_bound(100, 10, 1e-6).value == pytest.approx(0.3628, abs=5e-4)

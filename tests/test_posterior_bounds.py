@@ -287,7 +287,7 @@ def count_root_evals(monkeypatch):
     each cell still open, so the most per cell is the call's step count."""
     solves = []
 
-    def counted(value, size, tol):
+    def counted(value, size, tol, guess=None):
         evals = np.zeros(size, dtype=int)
         solves.append(evals)
 
@@ -295,7 +295,7 @@ def count_root_evals(monkeypatch):
             evals[cells] += 1
             return value(x, cells)
 
-        return bisect(counted_value, size, tol)
+        return bisect(counted_value, size, tol, guess)
 
     monkeypatch.setattr(posterior_bounds, "bisect", counted)
     monkeypatch.setattr(lower_limits, "bisect", counted)

@@ -1,6 +1,7 @@
 """Coefficient refinement: LP construction, dominance, convergence."""
 
 import json
+import math
 import warnings
 from fractions import Fraction
 from math import comb
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from scencert import posterior_bounds, simplex
+from scencert.binom_tail import _log_comb
+from scencert.classic_bounds import bisect
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
 from scencert.posterior_bounds import _SignEvaluator
@@ -92,8 +96,7 @@ class TestBuildRefinementLp:
 
         def broken(ev, t, k, l):
             terms, tail = log_sides(ev, t, k, l)
-            if k == 4:
-                tail[[2, 3]] = np.nan
+            tail[(k == 4) & np.isin(l, [2, 3])] = np.nan
             return terms, tail
 
         monkeypatch.setattr(_SignEvaluator, "log_sides", broken)
@@ -212,10 +215,10 @@ class TestRefine:
         first_step = refine(p, a, max_iter=1).final.table
         calls = []
 
-        def second_solve_invalid(lp):
+        def second_solve_invalid(lp, highs):
             calls.append(None)
             if len(calls) == 1:
-                return lp_solve(lp)
+                return lp_solve(lp, highs)
             x = np.zeros(p.n + 1)
             x[: p.zeta] = 1.0 / p.zeta
             return LPSolution(x, float(lp.c @ x))
@@ -233,7 +236,7 @@ class TestRefine:
         x = np.zeros(p.n + 1)
         x[50] = 1.0
         monkeypatch.setattr(refinement, "lp_solve",
-                            lambda lp: LPSolution(x, float(lp.c @ x)))
+                            lambda lp, highs: LPSolution(x, float(lp.c @ x)))
         trace = refine(p, a)
         assert trace.termination == "lp_failure"
         assert len(trace.iterations) == 1
@@ -260,6 +263,124 @@ class TestRefine:
         table_orig = trace.final.table
         table_back = bound_table(p, reloaded, TOL)
         assert np.abs(table_back.eps - table_orig.eps).max() <= 1e-8
+
+
+def per_row_lp(table, p, tau=refinement.DEFAULT_TAU):
+    """The refinement LP built one grid row at a time from per-k log terms
+    ln(beta C(k + i, k) t^i), i = 0..n-k, and a running objective shift."""
+    n, ev = p.n, _SignEvaluator(p, table.coefficients)
+    a_ge = np.zeros((np.count_nonzero(table.t > 0.0) + 1, n + 1))
+    b_ge, objective, obj_shift, start = np.empty(a_ge.shape[0]), np.zeros(n + 1), 0.0, 0
+    for k in range(p.zeta + 1):
+        l = np.flatnonzero(table.t[k] > 0.0)
+        t = table.t[k, l]
+        log_t, i = np.log(t), np.arange(n - k + 1)
+        terms = ev.log_beta + _log_comb(k + i, k) + i * log_t[:, None]
+        tail = ev._tail_side(log_t, np.log1p(-t), k, l, ev.m)
+        top = terms.max(axis=1)
+        rows = slice(start, start + l.size)
+        b_ge[rows] = np.exp(tail - top)
+        log_t_n = (n - k) * log_t
+        log_top = np.max(top - ev.log_beta - log_t_n, initial=-math.inf)
+        shift = max(obj_shift, float(log_top) - refinement._OBJ_LOG_CAP)
+        objective *= math.exp(obj_shift - shift)
+        obj_shift = shift
+        log_obj = terms - ev.log_beta
+        log_obj -= (log_t_n + obj_shift)[:, None]
+        objective[k:] += np.exp(log_obj, out=log_obj).sum(axis=0)
+        terms -= top[:, None]
+        np.exp(terms, out=a_ge[rows, k:])
+        start += l.size
+    a_ge[-1, p.zeta : n] = 1.0
+    b_ge[-1] = tau
+    return objective / objective.max(), a_ge, b_ge
+
+
+def count_margin_evals(monkeypatch):
+    """Record, for each grid solve, whether it had a guess and the margin
+    evaluations of each cell."""
+    solves = []
+
+    def counted(value, size, tol, guess=None):
+        evals = np.zeros(size, dtype=int)
+        solves.append((guess is not None, evals))
+
+        def counted_value(x, cells):
+            evals[cells] += 1
+            return value(x, cells)
+
+        return bisect(counted_value, size, tol, guess)
+
+    monkeypatch.setattr(posterior_bounds, "bisect", counted)
+    return solves
+
+
+class TestWarmSteps:
+    """Each step's grid starts from the previous roots, its LP is built in
+    batches of grid rows, and one HiGHS instance serves the whole run."""
+
+    @pytest.mark.parametrize("n, m, zeta", [(60, 8, 5), (80, 10, 6), (100, 10, 8),
+                                            (300, 30, 10)])
+    def test_warm_tables_equal_cold_tables(self, n, m, zeta):
+        p = CertificateProblem(n, m, zeta, 1e-6)
+        trace = refine(p, CoefficientVector.uniform(p), TOL)
+        for it in trace.iterations:
+            assert np.array_equal(it.table.t, bound_table(p, it.coefficients, TOL).t)
+
+    def test_some_warm_cell_moves_down(self):
+        # The equality above covers roots that fall back within 2 tol.
+        p = CertificateProblem(300, 30, 10, 1e-6)
+        tables = [it.table.t for it in refine(p, CoefficientVector.uniform(p), TOL).iterations]
+        assert any(np.any(new < old) for old, new in zip(tables, tables[1:]))
+
+    @pytest.mark.parametrize("n, m, zeta", [(100, 5, 8), (100, 10, 8)])
+    def test_margin_evaluations_per_cell(self, monkeypatch, n, m, zeta):
+        solves = count_margin_evals(monkeypatch)
+        p = CertificateProblem(n, m, zeta, 1e-6)
+        trace = refine(p, CoefficientVector.uniform(p), TOL)
+        assert [warm for warm, _ in solves] == [False] + [True] * (len(trace.iterations) - 1)
+        assert solves[-1][1].mean() <= 3.0
+        bound_table(p, trace.iterations[1].coefficients, TOL)
+        assert solves[1][1].mean() <= solves[-1][1].mean()  # step 1 against its cold solve
+
+    @pytest.mark.skipif(simplex._load_highs() is None,
+                        reason="lp_solve runs on the linprog fallback")
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_one_highs_instance_per_run(self, monkeypatch, keep):
+        # Past _KEEP_HIGHS_ENTRIES each solve makes and frees its own.
+        core, made = simplex._load_highs(), []
+
+        def counted():
+            made.append(None)
+            return highs_class()
+
+        highs_class = core._Highs
+        monkeypatch.setattr(core, "_Highs", counted)
+        if not keep:
+            monkeypatch.setattr(refinement, "_KEEP_HIGHS_ENTRIES", 0)
+        p, a = fig_config()
+        trace = refine(p, a, TOL)
+        solves = len(trace.iterations) - 1
+        assert solves > 1 and len(made) == (1 if keep else solves)
+
+    @pytest.mark.parametrize("n, m, zeta", [(100, 10, 8), (1000, 1, 999)])
+    def test_batched_lp_equals_per_row_build(self, n, m, zeta):
+        p = CertificateProblem(n, m, zeta, 1e-6)
+        for it in refine(p, CoefficientVector.uniform(p), TOL, max_iter=1).iterations:
+            lp = build_refinement_lp(it.table, p)
+            c, a_ge, b_ge = per_row_lp(it.table, p)
+            assert np.array_equal(lp.c, c)
+            assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)
+
+    def test_rows_split_into_batches(self, monkeypatch):
+        # A few rows per batch give the same program as one batch.
+        p, a = fig_config()
+        table = bound_table(p, a, TOL)
+        whole = build_refinement_lp(table, p)
+        monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", 3 * (p.n + 1) * (p.m + 1))
+        split = build_refinement_lp(table, p)
+        for name in ("c", "a_ge", "b_ge"):
+            assert np.array_equal(getattr(whole, name), getattr(split, name)), name
 
 
 @pytest.mark.xfail(strict=True, reason=(
