@@ -61,7 +61,6 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
     changes how many points a cell takes but never its bracket.
     """
     spacing = 2.0 ** -next((j for j in range(MAX_BISECT_ITER) if 2.0**-j < tol), MAX_BISECT_ITER)
-    exact = spacing >= 2.0**-53  # every grid point in [0, 1] is a double
     lo, hi = np.zeros(size), np.ones(size)
     # The open cells: their indices, brackets and end values.
     cells, a, b = np.arange(size), lo.copy(), hi.copy()
@@ -74,7 +73,7 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
         lead = np.where((guess > 0.0) & (guess < 1.0), np.round(guess / spacing) * spacing, np.nan)
     for step in range(MAX_BISECT_ITER):
         width = b - a
-        keep = width > spacing if exact else (width > spacing) & (np.nextafter(a, 1.0) < b)
+        keep = (width > spacing) & (np.nextafter(a, 1.0) < b)
         if not keep.all():
             shut = ~keep
             lo[cells[shut]], hi[cells[shut]] = a[shut], b[shut]
@@ -95,8 +94,8 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
         if lead is not None:
             x = np.where(np.isnan(lead), x, lead)
         x = np.minimum(np.maximum(np.round(x / spacing) * spacing, a + spacing), b - spacing)
-        if not exact:
-            x = np.minimum(np.maximum(x, np.nextafter(a, 1.0)), np.nextafter(b, 0.0))
+        # A grid finer than doubles: keep x strictly inside (a, b).
+        x = np.minimum(np.maximum(x, np.nextafter(a, 1.0)), np.nextafter(b, 0.0))
         below = (y := value(x, cells)) >= 0.0
         a, f_a = np.where(below, x, a), np.where(below, y, f_a)
         b, f_b = np.where(below, b, x), np.where(below, f_b, y)

@@ -158,12 +158,10 @@ class _SignEvaluator:
         weights, otherwise two rows of one term per nonzero weight (the
         powers and the gathered ln-terms), so no margin depends on which
         cells share its batch."""
-        t, k, l = np.asarray(t, dtype=float), np.asarray(k), np.asarray(l)
+        t = np.asarray(t, dtype=float)
+        k, l, m = np.broadcast_arrays(k, l, self.m)
         terms = 1 if self._log_terms is None else 2 * self._log_terms.shape[1]
         step = max(1, _BATCH_ELEMENTS // terms)
-        if t.size <= step and k.shape == l.shape == t.shape:
-            return self._margin(t, k, l, self.m)  # one batch, nothing to broadcast
-        k, l, m = np.broadcast_arrays(k, l, self.m)
         batches = [slice(s, s + step) for s in range(0, t.size, step)]
         return np.concatenate([self._margin(t[b], k[b], l[b], m[b]) for b in batches])
 
@@ -200,7 +198,8 @@ class _SignEvaluator:
         ks = np.arange(int(k.min()), int(k.max()) + 1)[:, None]
         log_t, j = np.log(t), np.arange(ks[0, 0], self.n + 1)
         log_comb = np.where(j >= ks, self.log_beta + _log_comb(j, ks), -np.inf)
-        # Cell i takes the row of k[i] in both tables; one k broadcasts its row.
+        # Cell i takes the row of k[i] in both tables.  One k broadcasts its
+        # row instead, as each batch of a large grid holds one grid row.
         row = slice(None) if ks.size == 1 else k - ks[0, 0]
         terms = np.subtract(j, ks, dtype=float)[row] * log_t[:, None]
         terms += log_comb[row]  # -inf where j < k
@@ -243,15 +242,11 @@ def _roots(ev: _SignEvaluator, k, l: np.ndarray, tol: float, guess=None) -> np.n
     # from guess[i]; the margin is >= 0 at each lower end, so eps = 1 -
     # lower is safe.
     k, l, m = np.broadcast_arrays(k, l, ev.m)
-    if ev.m.ndim == 0:
-        def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
-            return ev.margin(t, k[cells], l[cells])
-    else:
-        sub = copy.copy(ev)  # whose trial counts follow the open cells
+    sub = copy.copy(ev)  # whose trial counts follow the open cells
 
-        def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
-            sub.m = m[cells]
-            return sub.margin(t, k[cells], l[cells])
+    def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        sub.m = m[cells]
+        return sub.margin(t, k[cells], l[cells])
 
     return bisect(margin, l.size, tol, guess)[0]
 
@@ -305,27 +300,23 @@ def bound_table(
     problem: CertificateProblem,
     coeffs: CoefficientVector,
     tol: float = DEFAULT_TOL,
+    *,
+    _guess=None,
 ) -> BoundTable:
     """Full (zeta+1) x (m+1) certificate grid.
 
     One cold ``bisect`` call on [0, 1] solves every cell, each step only
     the cells still open; each follows the points ``solve_root`` follows
     for it alone and reports the same lower bracket end, bit for bit.
+    ``_guess``, a previous grid of roots, starts each cell's solve from
+    its root there: the same roots, bit for bit, wherever the margin's
+    sign is monotone on the root grid, and two margins a cell whose root
+    is unmoved.
     """
-    return _bound_table(problem, coeffs, tol)
-
-
-def _bound_table(
-    problem: CertificateProblem, coeffs: CoefficientVector, tol: float, guess=None
-) -> BoundTable:
-    # ``bound_table``, with each cell's solve started from guess[k, l] if
-    # given: same roots, bit for bit, wherever the margin's sign is
-    # monotone on the root grid, and two margins a cell if its root is
-    # unmoved.
     coeffs.validate_for(problem)
     check_tol(tol)
     k, l = np.indices((problem.zeta + 1, problem.m + 1)).reshape(2, -1)
-    t = _roots(_SignEvaluator(problem, coeffs), k, l, tol, guess).reshape(problem.zeta + 1, -1)
+    t = _roots(_SignEvaluator(problem, coeffs), k, l, tol, _guess).reshape(problem.zeta + 1, -1)
     return BoundTable(problem, coeffs, tol, t, 1.0 - t)
 
 

@@ -22,11 +22,10 @@ from .posterior_bounds import (
     BoundTable,
     CertificateProblem,
     CoefficientVector,
-    _bound_table,
     _SignEvaluator,
     bound_table,
 )
-from .simplex import LinearProgram, LPError, _new_highs, lp_solve
+from .simplex import LinearProgram, LPError, lp_solve
 
 __all__ = [
     "RefinementError",
@@ -46,14 +45,6 @@ DEFAULT_MAX_ITER = 50
 # reported grid comes from bound_table on a validated vector, and a step
 # that lowers a root ends the run in lp_failure.
 _CONDITION_REFUSE_N = 5000
-
-# HiGHS keeps the memory of its largest solve until its instance is freed,
-# about 620 MB after the 9.5 M entries of a (1000, 500, 18) step, and
-# clearing the model does not return it.  A run keeps its one instance
-# while each program has at most this many entries (a few MB kept), where
-# setting up an instance costs about 0.2 ms of a 1 to 1.5 ms solve; past
-# it, each solve makes its own instance and frees it on return.
-_KEEP_HIGHS_ENTRIES = 1 << 16
 
 # Largest log of an objective term summed as it is.  Past it the objective
 # is held divided by a factor that keeps its largest term at exp(_OBJ_LOG_CAP),
@@ -125,10 +116,10 @@ def build_refinement_lp(
     One inequality row per grid cell: the certificate equation at the
     cell's stored root t, linear in the weights,
     sum_j a_j beta C(j, k) t^(j-k) >= C(n, k) t^(n-k) B_m(1-t; l), taken
-    for a whole grid row from one ``_SignEvaluator.log_sides`` call and
-    scaled so that its largest coefficient is 1.  A cell whose stored
-    root is 0 (below the root tolerance) gets no row: its eps is already
-    1 and cannot rise.  A table whose roots are all 0 raises
+    for batches of whole grid rows, one ``_SignEvaluator.log_sides`` call
+    each, and scaled so that its largest coefficient is 1.  A cell whose
+    stored root is 0 (below the root tolerance) gets no row: its eps is
+    already 1 and cannot rise.  A table whose roots are all 0 raises
     ``ValueError``.  The objective sums C(j, k) t^(j-n) over the cells,
     divided by its largest entry.  One more row keeps mass >= tau
     (0 < tau <= 1) on indices zeta..n-1, one equality normalizes the
@@ -149,16 +140,17 @@ def build_refinement_lp(
     b_ge = np.empty(k.size + 1)
     objective = np.zeros(n + 1)
     obj_shift = 0.0  # the objective is held divided by exp(obj_shift)
-    # Row k's cells are starts[k]:starts[k + 1].  A batch takes whole grid
-    # rows, as many as fit _BATCH_ELEMENTS entries, and at least one cell.
+    # Row k's cells are starts[k]:starts[k + 1].  A batch starts at a
+    # nonempty grid row and takes whole rows, as many as fit _BATCH_ELEMENTS
+    # entries, and at least one.
     starts = np.searchsorted(k, np.arange(problem.zeta + 2))
-    first, end, cells_per_batch = int(k[0]), int(k[-1]) + 1, _BATCH_ELEMENTS // (n + 1)
-    while first < end:
-        last = first + 1
-        while last < end and (starts[last] == starts[first]
-                              or starts[last + 1] - starts[first] <= cells_per_batch):
-            last += 1
-        rows = slice(starts[first], starts[last])
+    cells_per_batch = _BATCH_ELEMENTS // (n + 1)
+    rows = slice(0, 0)
+    while rows.stop < k.size:
+        first = int(k[rows.stop])
+        fits = int(np.searchsorted(starts, rows.stop + cells_per_batch, "right")) - 1
+        last = max(first + 1, fits)
+        rows = slice(rows.stop, int(starts[last]))
         terms, tail = ev.log_sides(t[rows], k[rows], l[rows])
         top = terms.max(axis=1)
         b_ge[rows] = row_rhs = np.exp(tail - top)
@@ -185,7 +177,6 @@ def build_refinement_lp(
             block = terms[cells]
             block -= (log_t_n[cells] + obj_shift)[:, None]
             objective[first:] += np.exp(block, out=block).sum(axis=0)
-        first = last
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.
     a_ge[-1] = 0.0
     a_ge[-1, problem.zeta : n] = 1.0
@@ -254,20 +245,16 @@ def refine(
     if not (table.t > 0.0).any():
         # Every eps is already 1: no cell has an LP row, nothing can rise.
         return RefinementTrace(iterations, "converged")
-    termination, highs = "max_iter", None
+    termination = "max_iter"
     for step in range(1, max_iter + 1):
         lp = build_refinement_lp(table, problem, tau)
         try:
-            if lp.a_ge.size > _KEEP_HIGHS_ENTRIES:
-                highs = None  # lp_solve makes its own and frees it
-            elif highs is None:
-                highs = _new_highs()
-            x = lp_solve(lp, highs).x
+            x = lp_solve(lp).x
             coeffs = CoefficientVector(x / x.sum(), problem, scheme="refined")
         except (LPError, ValueError):
             termination = "lp_failure"
             break
-        new_table = _bound_table(problem, coeffs, tol_root, table.t)
+        new_table = bound_table(problem, coeffs, tol_root, _guess=table.t)
         if np.any(new_table.t < table.t - 2.0 * tol_root):
             termination = "lp_failure"
             break

@@ -162,24 +162,14 @@ def _load_highs():
     return module
 
 
-def _new_highs():
-    """A HiGHS instance with the options above set, or None where the
-    HiGHS module cannot be loaded and ``lp_solve`` runs ``linprog``."""
-    h = _load_highs()
-    if h is None:
-        return None
+def _solve_core(h, lp: LinearProgram) -> np.ndarray:
+    n, rows = lp.n_vars, lp.b_ge.size + lp.b_eq.size
+    if rows * n > _MAX_HIGHS_INDEX:
+        raise SimplexError(f"{rows} x {n} matrix entries overflow HiGHS's 32-bit indices")
     highs = h._Highs()
     for name, value in {"output_flag": False, "presolve": "off", **_HIGHS_OPTIONS}.items():
         if highs.setOptionValue(name, value) == h.HighsStatus.kError:
             raise SimplexError(f"HiGHS rejected option {name}={value!r}")
-    return highs
-
-
-def _solve_core(h, highs, lp: LinearProgram) -> np.ndarray:
-    # passModel replaces any earlier model of the instance, with its basis.
-    n, rows = lp.n_vars, lp.b_ge.size + lp.b_eq.size
-    if rows * n > _MAX_HIGHS_INDEX:
-        raise SimplexError(f"{rows} x {n} matrix entries overflow HiGHS's 32-bit indices")
     status = highs.passModel(
         n, rows, rows * n, int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMaximize), 0.0,
         lp.c, np.zeros(n), np.full(n, h.kHighsInf), np.concatenate([lp.b_ge, lp.b_eq]),
@@ -214,21 +204,16 @@ def _solve_linprog(lp: LinearProgram) -> np.ndarray:
     raise error(f"linprog: {result.message}")
 
 
-def lp_solve(lp: LinearProgram, _highs=None) -> LPSolution:
+def lp_solve(lp: LinearProgram) -> LPSolution:
     """Optimal basic solution of the program, clipped at 0.
 
     Its feasibility residuals are at the level of the primal feasibility
     tolerance.  Raises LPInfeasibleError or LPUnboundedError when HiGHS
     proves the program infeasible or unbounded, and SimplexError on any
     other outcome.  The refinement programs are feasible and bounded, so
-    any of these there signals numerical breakdown.  ``_highs``, an
-    instance from ``_new_highs``, lets a caller that solves many programs
-    set the options once; by default each solve makes its own.
+    any of these there signals numerical breakdown.
     """
     h = _load_highs()
-    if h is None:
-        x = _solve_linprog(lp)
-    else:
-        x = _solve_core(h, _new_highs() if _highs is None else _highs, lp)
+    x = _solve_core(h, lp) if h is not None else _solve_linprog(lp)
     x = np.clip(x, 0.0, None)
     return LPSolution(x, float(lp.c @ x))

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from scencert import posterior_bounds, simplex
+from scencert import posterior_bounds
 from scencert.binom_tail import _log_comb
 from scencert.classic_bounds import bisect
 from scencert.lower_limits import lower_limit_table
-from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
+from scencert.posterior_bounds import BoundTable, CertificateProblem, CoefficientVector
+from scencert.posterior_bounds import bound_table
 from scencert.posterior_bounds import _SignEvaluator
 import scencert.refinement as refinement
 from scencert.refinement import (
@@ -215,10 +216,10 @@ class TestRefine:
         first_step = refine(p, a, max_iter=1).final.table
         calls = []
 
-        def second_solve_invalid(lp, highs):
+        def second_solve_invalid(lp):
             calls.append(None)
             if len(calls) == 1:
-                return lp_solve(lp, highs)
+                return lp_solve(lp)
             x = np.zeros(p.n + 1)
             x[: p.zeta] = 1.0 / p.zeta
             return LPSolution(x, float(lp.c @ x))
@@ -236,7 +237,7 @@ class TestRefine:
         x = np.zeros(p.n + 1)
         x[50] = 1.0
         monkeypatch.setattr(refinement, "lp_solve",
-                            lambda lp, highs: LPSolution(x, float(lp.c @ x)))
+                            lambda lp: LPSolution(x, float(lp.c @ x)))
         trace = refine(p, a)
         assert trace.termination == "lp_failure"
         assert len(trace.iterations) == 1
@@ -316,8 +317,8 @@ def count_margin_evals(monkeypatch):
 
 
 class TestWarmSteps:
-    """Each step's grid starts from the previous roots, its LP is built in
-    batches of grid rows, and one HiGHS instance serves the whole run."""
+    """Each step's grid starts from the previous roots, and its LP is built
+    in batches of grid rows."""
 
     @pytest.mark.parametrize("n, m, zeta", [(60, 8, 5), (80, 10, 6), (100, 10, 8),
                                             (300, 30, 10)])
@@ -343,26 +344,6 @@ class TestWarmSteps:
         bound_table(p, trace.iterations[1].coefficients, TOL)
         assert solves[1][1].mean() <= solves[-1][1].mean()  # step 1 against its cold solve
 
-    @pytest.mark.skipif(simplex._load_highs() is None,
-                        reason="lp_solve runs on the linprog fallback")
-    @pytest.mark.parametrize("keep", [True, False])
-    def test_one_highs_instance_per_run(self, monkeypatch, keep):
-        # Past _KEEP_HIGHS_ENTRIES each solve makes and frees its own.
-        core, made = simplex._load_highs(), []
-
-        def counted():
-            made.append(None)
-            return highs_class()
-
-        highs_class = core._Highs
-        monkeypatch.setattr(core, "_Highs", counted)
-        if not keep:
-            monkeypatch.setattr(refinement, "_KEEP_HIGHS_ENTRIES", 0)
-        p, a = fig_config()
-        trace = refine(p, a, TOL)
-        solves = len(trace.iterations) - 1
-        assert solves > 1 and len(made) == (1 if keep else solves)
-
     @pytest.mark.parametrize("n, m, zeta", [(100, 10, 8), (1000, 1, 999)])
     def test_batched_lp_equals_per_row_build(self, n, m, zeta):
         p = CertificateProblem(n, m, zeta, 1e-6)
@@ -381,6 +362,20 @@ class TestWarmSteps:
         split = build_refinement_lp(table, p)
         for name in ("c", "a_ge", "b_ge"):
             assert np.array_equal(getattr(whole, name), getattr(split, name)), name
+
+    @pytest.mark.parametrize("cells_per_batch", [1, 18])
+    def test_row_without_roots_between_batches(self, monkeypatch, cells_per_batch):
+        # A grid row whose roots are all 0 gets no LP rows, whether it
+        # follows a row too long for a batch or falls inside a batch.
+        p, a = fig_config()
+        t = bound_table(p, a, TOL).t.copy()
+        t[[0, 4, 5, -1]] = 0.0
+        table = BoundTable(p, a, TOL, t, 1.0 - t)
+        monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", cells_per_batch * (p.n + 1))
+        lp = build_refinement_lp(table, p)
+        c, a_ge, b_ge = per_row_lp(table, p)
+        assert np.array_equal(lp.c, c)
+        assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)
 
 
 @pytest.mark.xfail(strict=True, reason=(

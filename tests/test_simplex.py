@@ -228,20 +228,6 @@ def test_refine_never_imports_scipy_optimize():
 
 
 @needs_highs_core
-def test_one_instance_solves_like_fresh_ones():
-    # Each passModel replaces the last program with its basis, so a
-    # sequence of solves on one instance starts every program cold.
-    highs = simplex._new_highs()
-    problem = CertificateProblem(100, 10, 8, 1e-6)
-    trace = refine(problem, CoefficientVector.uniform(problem), max_iter=2)
-    lps = _oracle_lps() + [build_refinement_lp(it.table, problem) for it in trace.iterations]
-    for lp in lps:
-        shared = lp_solve(lp, highs)
-        assert np.array_equal(shared.x, lp_solve(lp).x)
-        assert shared.objective == lp_solve(lp).objective
-
-
-@needs_highs_core
 def test_matrix_beyond_32_bit_indices_is_refused(monkeypatch, capsys):
     # Lowering the limit stands in for a program of 2^31 entries.
     lp = _oracle_lps()[0]
