@@ -41,5 +41,5 @@ print(f"\ncells strictly improved: {improved} of {uniform_grid.eps.size}")
 print("no cell went below the floor:",
       bool(np.all(refined_grid.eps >= limits.eps_lower - 2e-10)))
 
-cells, everywhere = dominance_check(trace.final.coefficients, uniform_grid, problem)
+cells, everywhere = dominance_check(trace.final.coefficients, uniform_grid)
 print("refined weights dominate the uniform grid cellwise:", everywhere)

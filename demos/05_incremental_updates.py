@@ -25,8 +25,8 @@ design = problem.sample(rng, n)
 solution = solve_scenario(problem, design)
 validation = problem.sample(rng, 20)
 
-steps = incremental_judgement(problem, solution, n, 1e-6, validation)
-hits = violation_mask(problem, solution, validation)
+steps = incremental_judgement(solution, n, 1e-6, validation)
+hits = violation_mask(solution, validation)
 
 print(f"solution has {solution.support_count} support constraints; "
       f"streaming in {len(validation)} validation samples\n")

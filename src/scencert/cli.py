@@ -185,7 +185,6 @@ def _cmd_incremental(args) -> int:
     pts = toy.sample(rng, args.n + args.m)
     solution = solve_scenario(toy, pts[: args.n])
     steps = incremental_judgement(
-        toy,
         solution,
         args.n,
         args.beta,

@@ -26,7 +26,6 @@ max-shifted sum over its nonzero weights only.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -122,11 +121,12 @@ class CoefficientVector:
 
 class _SignEvaluator:
     """Precomputed log-space pieces for many margin queries against one
-    (problem, coefficients) pair.  Read-only after construction.
+    (problem, coefficients) pair.
 
     Every cell sees ``problem.m`` validation trials unless ``m`` gives a
     trial count per cell; margin queries then pass their cells in that
-    order."""
+    order.  ``m`` is the one attribute a solve rewrites: ``_roots`` sets
+    it to the open cells' counts before each step."""
 
     def __init__(
         self, problem: CertificateProblem, coeffs: CoefficientVector, m=None
@@ -198,9 +198,7 @@ class _SignEvaluator:
         ks = np.arange(int(k.min()), int(k.max()) + 1)[:, None]
         log_t, j = np.log(t), np.arange(ks[0, 0], self.n + 1)
         log_comb = np.where(j >= ks, self.log_beta + _log_comb(j, ks), -np.inf)
-        # Cell i takes the row of k[i] in both tables.  One k broadcasts its
-        # row instead, as each batch of a large grid holds one grid row.
-        row = slice(None) if ks.size == 1 else k - ks[0, 0]
+        row = k - ks[0, 0]  # cell i takes the row of k[i] in both tables
         terms = np.subtract(j, ks, dtype=float)[row] * log_t[:, None]
         terms += log_comb[row]  # -inf where j < k
         return terms, self._tail_side(log_t, np.log1p(-t), k, l, self.m)
@@ -237,16 +235,19 @@ def certificate_sign(
     return int(np.sign(_SignEvaluator(problem, coeffs).margin([t], k, [l])[0]))
 
 
-def _roots(ev: _SignEvaluator, k, l: np.ndarray, tol: float, guess=None) -> np.ndarray:
+def _roots(
+    problem: CertificateProblem, coeffs: CoefficientVector, k, l: np.ndarray, tol: float,
+    m=None, guess=None,
+) -> np.ndarray:
     # One solve for the cells (k[i], l[i]) together, cold on [0, 1] or
     # from guess[i]; the margin is >= 0 at each lower end, so eps = 1 -
     # lower is safe.
+    ev = _SignEvaluator(problem, coeffs, m)
     k, l, m = np.broadcast_arrays(k, l, ev.m)
-    sub = copy.copy(ev)  # whose trial counts follow the open cells
 
     def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        sub.m = m[cells]
-        return sub.margin(t, k[cells], l[cells])
+        ev.m = m[cells]  # the trial counts of the open cells
+        return ev.margin(t, k[cells], l[cells])
 
     return bisect(margin, l.size, tol, guess)[0]
 
@@ -280,20 +281,23 @@ def solve_root(
     trials = problem.m if m is None else np.asarray(m)
     if np.any(np.less(l, 0) | np.greater(l, trials) | np.greater(trials, problem.m)):
         raise ValueError(f"require 0 <= l <= m <= {problem.m}, got l={l}, m={trials}")
-    roots = _roots(_SignEvaluator(problem, coeffs, m), k, np.atleast_1d(l), tol)
+    roots = _roots(problem, coeffs, k, np.atleast_1d(l), tol, m)
     return float(roots[0]) if np.ndim(l) == 0 else roots
 
 
 @dataclass(frozen=True, eq=False)
 class BoundTable:
-    """Grid of roots t(k, l) and certificates eps(k, l) = 1 - t(k, l),
-    together with the inputs that produced it."""
+    """Grid of roots t(k, l), together with the inputs that produced it."""
 
     problem: CertificateProblem
     coefficients: CoefficientVector
     tol: float
     t: np.ndarray
-    eps: np.ndarray
+
+    @property
+    def eps(self) -> np.ndarray:
+        """Certificates eps(k, l) = 1 - t(k, l), taken on each read."""
+        return 1.0 - self.t
 
 
 def bound_table(
@@ -316,8 +320,8 @@ def bound_table(
     coeffs.validate_for(problem)
     check_tol(tol)
     k, l = np.indices((problem.zeta + 1, problem.m + 1)).reshape(2, -1)
-    t = _roots(_SignEvaluator(problem, coeffs), k, l, tol, _guess).reshape(problem.zeta + 1, -1)
-    return BoundTable(problem, coeffs, tol, t, 1.0 - t)
+    t = _roots(problem, coeffs, k, l, tol, guess=_guess).reshape(problem.zeta + 1, -1)
+    return BoundTable(problem, coeffs, tol, t)
 
 
 def wait_and_judge(
@@ -331,4 +335,4 @@ def wait_and_judge(
     by k.
     """
     zero_m = replace(problem, m=0)
-    return bound_table(zero_m, coeffs, tol).eps[:, 0].copy()
+    return bound_table(zero_m, coeffs, tol).eps[:, 0]

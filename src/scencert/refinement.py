@@ -61,12 +61,9 @@ class RefinementError(RuntimeError):
         self.l = l
 
 
-def dominance_check(
-    candidate: CoefficientVector,
-    table: BoundTable,
-    problem: CertificateProblem,
-) -> tuple[np.ndarray, bool]:
-    """Cellwise test that the candidate weights dominate the table.
+def dominance_check(candidate: CoefficientVector, table: BoundTable) -> tuple[np.ndarray, bool]:
+    """Cellwise test that the candidate weights dominate the table, for
+    the table's problem.
 
     Cell (k, l) holds when the candidate's polynomial side is at least
     the tail side at the table's root, i.e. when the candidate's own root
@@ -78,8 +75,7 @@ def dominance_check(
     aggregate is true only if every cell holds, certifying that no root
     moves down by more than a few root tolerances.
     """
-    if problem != table.problem:
-        raise ValueError("table was built for a different problem")
+    problem = table.problem
     candidate.validate_for(problem)
     ev = _SignEvaluator(problem, candidate)
     # A root stored as 0 (below the root tolerance) cannot move down; its
@@ -106,12 +102,9 @@ def _check_size(problem: CertificateProblem) -> None:
         )
 
 
-def build_refinement_lp(
-    table: BoundTable,
-    problem: CertificateProblem,
-    tau: float = DEFAULT_TAU,
-) -> LinearProgram:
-    """The weight-improvement LP at the table's current roots.
+def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearProgram:
+    """The weight-improvement LP at the table's current roots, for the
+    table's problem and coefficients.
 
     One inequality row per grid cell: the certificate equation at the
     cell's stored root t, linear in the weights,
@@ -126,8 +119,7 @@ def build_refinement_lp(
     total mass.  A non-finite cell row raises ``RefinementError`` naming
     the first such cell.
     """
-    if problem != table.problem:
-        raise ValueError("table was built for a different problem")
+    problem = table.problem
     _check_tau(tau)
     _check_size(problem)
     k, l = np.nonzero(table.t > 0.0)
@@ -192,9 +184,12 @@ def build_refinement_lp(
 @dataclass(frozen=True, eq=False)
 class RefinementIteration:
     index: int
-    coefficients: CoefficientVector
     table: BoundTable
     max_t_increase: float | None  # None on the initial iterate
+
+    @property
+    def coefficients(self) -> CoefficientVector:
+        return self.table.coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,15 +234,14 @@ def refine(
     _check_tau(tau)
     _check_size(problem)
     initial.validate_for(problem)
-    coeffs = initial
-    table = bound_table(problem, coeffs, tol_root)
-    iterations = [RefinementIteration(0, coeffs, table, None)]
+    table = bound_table(problem, initial, tol_root)
+    iterations = [RefinementIteration(0, table, None)]
     if not (table.t > 0.0).any():
         # Every eps is already 1: no cell has an LP row, nothing can rise.
         return RefinementTrace(iterations, "converged")
     termination = "max_iter"
     for step in range(1, max_iter + 1):
-        lp = build_refinement_lp(table, problem, tau)
+        lp = build_refinement_lp(table, tau)
         try:
             x = lp_solve(lp).x
             coeffs = CoefficientVector(x / x.sum(), problem, scheme="refined")
@@ -259,7 +253,7 @@ def refine(
             termination = "lp_failure"
             break
         increase = float(np.max(new_table.t - table.t))
-        iterations.append(RefinementIteration(step, coeffs, new_table, increase))
+        iterations.append(RefinementIteration(step, new_table, increase))
         table = new_table
         if increase < tol_converge:
             termination = "converged"

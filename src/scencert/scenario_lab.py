@@ -164,27 +164,22 @@ def solve_scenario(problem: ToyScenarioProblem, samples) -> ScenarioSolution:
     return ScenarioSolution(problem, decision[0], support, bool(tie[0]))
 
 
-def violation_mask(
-    problem: ToyScenarioProblem, solution: ScenarioSolution, samples
-) -> np.ndarray:
+def violation_mask(solution: ScenarioSolution, samples) -> np.ndarray:
     """Boolean mask of samples outside the solution's feasible region."""
+    problem = solution.problem
     return _outside(problem, solution.decision, _as_samples(problem, samples).T)
 
 
-def count_validation_violations(
-    problem: ToyScenarioProblem, solution: ScenarioSolution, samples
-) -> int:
+def count_validation_violations(solution: ScenarioSolution, samples) -> int:
     pts = np.asarray(samples, dtype=float)
     if pts.size == 0:
         return 0
-    return int(violation_mask(problem, solution, pts).sum())
+    return int(violation_mask(solution, pts).sum())
 
 
-def violation_probability(
-    problem: ToyScenarioProblem, solution: ScenarioSolution
-) -> float:
+def violation_probability(solution: ScenarioSolution) -> float:
     """Closed-form violation probability under the uniform distribution."""
-    return float(_risk(problem, solution.decision))
+    return float(_risk(solution.problem, solution.decision))
 
 
 class TrialRecord(NamedTuple):
@@ -212,11 +207,11 @@ class GapStatistics:
     ``empirical_confidence`` is the fraction of runs whose true violation
     probability exceeded the certificate; by the finite-sample guarantee
     its expectation never exceeds beta.  ``occurrences`` maps each
-    observed support count to (count, mean r/m).
+    observed support count to (count, mean r/m).  The dicts of gaps and
+    confidences are keyed by ``BOUND_NAMES``.
     """
 
     runs: int
-    bound_names: tuple[str, ...]
     mean_gap: dict[str, float | None]
     std_gap: dict[str, float | None]
     empirical_confidence: dict[str, float | None]
@@ -408,7 +403,6 @@ def _aggregate(
         occurrences[int(value)] = (int(count), mean_ratio)
     return GapStatistics(
         runs=runs,
-        bound_names=BOUND_NAMES,
         mean_gap=mean_gap,
         std_gap=std_gap,
         empirical_confidence=confidence,
@@ -427,7 +421,6 @@ class IncrementalStep(NamedTuple):
 
 
 def incremental_judgement(
-    problem: ToyScenarioProblem,
     solution: ScenarioSolution,
     n_design: int,
     beta: float,
@@ -441,14 +434,16 @@ def incremental_judgement(
     information alone; the Clopper-Pearson bound only exists from m = 1.
     A violating arrival pushes both bounds up, a satisfied one pulls both
     down.  Each sequence is one array solve: arrival i is the cell
-    (s, r_i) with i validation trials.
+    (s, r_i) with i validation trials.  The samples are points of the
+    solution's problem.
     """
+    problem = solution.problem
     pts = _as_samples(problem, validation_samples)
     cert = CertificateProblem(n_design, pts.shape[0], problem.zeta, beta)
     if coeffs is None:
         coeffs = CoefficientVector.uniform(cert)
     seen = np.arange(pts.shape[0] + 1)
-    r = np.concatenate([[0], np.cumsum(violation_mask(problem, solution, pts))])
+    r = np.concatenate([[0], np.cumsum(violation_mask(solution, pts))])
     roots = solve_root(solution.support_count, r, cert, coeffs, tol, m=seen)
     eta = clopper_pearson(seen[1:], r[1:], beta, tol)
     return [

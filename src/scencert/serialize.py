@@ -19,7 +19,7 @@ from operator import index
 
 import numpy as np
 
-from .scenario_lab import IncrementalStep, TrialRecord
+from .scenario_lab import BOUND_NAMES, IncrementalStep, TrialRecord
 
 __all__ = [
     "fmt",
@@ -168,12 +168,12 @@ def records_jsonl(records) -> str:
 def gap_stats_json(stats) -> str:
     bounds = _columns(("mean_gap", "std_gap", "empirical_confidence"), [
         (stats.mean_gap[name], stats.std_gap[name], stats.empirical_confidence[name])
-        for name in stats.bound_names])
+        for name in BOUND_NAMES])
     occurrences = _columns(("s", "count", "frequency", "mean_r_over_m"), [
         (s, count, count / stats.runs, ratio)
         for s, (count, ratio) in sorted(stats.occurrences.items())])
     return _json({"runs": stats.runs, "ties": stats.ties,
-                  "bounds": dict(zip(stats.bound_names, _objects(bounds))),
+                  "bounds": dict(zip(BOUND_NAMES, _objects(bounds))),
                   "occurrences": _array(_objects(occurrences))}) + "\n"
 
 

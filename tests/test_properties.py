@@ -185,8 +185,8 @@ def arrivals(draw):
 def test_incremental_steps_equal_per_arrival_solves(case):
     toy, n, beta, design, validation = case
     solution = solve_scenario(toy, design)
-    steps = incremental_judgement(toy, solution, n, beta, validation, tol=TOL)
-    r = np.concatenate([[0], np.cumsum(violation_mask(toy, solution, validation))])
+    steps = incremental_judgement(solution, n, beta, validation, tol=TOL)
+    r = np.concatenate([[0], np.cumsum(violation_mask(solution, validation))])
     assert [(step.m, step.r) for step in steps] == list(enumerate(r.tolist()))
     a = CoefficientVector.uniform(CertificateProblem(n, 0, toy.zeta, beta))
     for step in steps:

@@ -1,5 +1,6 @@
 """Coefficient refinement: LP construction, dominance, convergence."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -41,14 +42,14 @@ class TestBuildRefinementLp:
     def test_dimensions(self):
         p = CertificateProblem(10, 1, 2, 1e-6)
         a = CoefficientVector.uniform(p)
-        lp = build_refinement_lp(bound_table(p, a, TOL), p)
+        lp = build_refinement_lp(bound_table(p, a, TOL))
         assert lp.c.shape == (11,)
         assert lp.a_ge.shape == (6 + 1, 11)  # one row per cell plus the mass floor
         assert lp.a_eq.shape == (1, 11)
 
     def test_rows_scaled_to_unit_max(self):
         p, a = fig_config()
-        lp = build_refinement_lp(bound_table(p, a, TOL), p)
+        lp = build_refinement_lp(bound_table(p, a, TOL))
         cell_rows = lp.a_ge[:-1]  # last row is the mass floor
         assert np.abs(cell_rows).max(axis=1) == pytest.approx(
             np.ones(cell_rows.shape[0]), rel=1e-12
@@ -56,7 +57,7 @@ class TestBuildRefinementLp:
 
     def test_baseline_is_feasible_and_not_better_than_optimum(self):
         p, a = fig_config()
-        lp = build_refinement_lp(bound_table(p, a, TOL), p)
+        lp = build_refinement_lp(bound_table(p, a, TOL))
         assert np.all(lp.a_ge @ a.values >= lp.b_ge - 1e-9)
         assert lp.a_eq @ a.values == pytest.approx(lp.b_eq, abs=1e-12)
         solution = lp_solve(lp)
@@ -67,7 +68,7 @@ class TestBuildRefinementLp:
         # stored root, whatever scale the row was given.
         p = CertificateProblem(12, 2, 3, 1e-6)
         table = bound_table(p, CoefficientVector.uniform(p), TOL)
-        lp = build_refinement_lp(table, p)
+        lp = build_refinement_lp(table)
         beta = Fraction(p.beta)
         cells = [(k, l) for k in range(p.zeta + 1) for l in range(p.m + 1)]
         assert lp.a_ge.shape[0] == len(cells) + 1
@@ -83,12 +84,12 @@ class TestBuildRefinementLp:
         p = CertificateProblem(3, 0, 2, 1e-14)
         table = bound_table(p, CoefficientVector.uniform(p), TOL)
         assert np.count_nonzero(table.t == 0.0) == 1
-        lp = build_refinement_lp(table, p)
+        lp = build_refinement_lp(table)
         assert lp.a_ge.shape[0] - 1 == table.t.size - 1  # the mass floor is last
         p = CertificateProblem(2, 0, 1, 1e-300)
         table = bound_table(p, CoefficientVector.uniform(p), TOL)
         with pytest.raises(ValueError, match="every root is 0"):
-            build_refinement_lp(table, p)
+            build_refinement_lp(table)
 
     def test_non_finite_row_names_its_first_cell(self, monkeypatch):
         p, a = fig_config()
@@ -102,7 +103,7 @@ class TestBuildRefinementLp:
 
         monkeypatch.setattr(_SignEvaluator, "log_sides", broken)
         with pytest.raises(RefinementError) as info:
-            build_refinement_lp(table, p)
+            build_refinement_lp(table)
         assert (info.value.k, info.value.l) == (4, 2)
 
     def test_objective_past_the_float_range_is_rescaled(self):
@@ -112,7 +113,7 @@ class TestBuildRefinementLp:
         table = bound_table(p, CoefficientVector.uniform(p), TOL)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lp = build_refinement_lp(table, p)
+            lp = build_refinement_lp(table)
         assert np.all(np.isfinite(lp.c)) and lp.c.max() == 1.0
         # The same sums over the cells, taken in log space.
         k, l = np.nonzero(table.t > 0.0)
@@ -127,7 +128,7 @@ class TestBuildRefinementLp:
         table = bound_table(p, a, TOL)
         for tau in (0.0, 2.0):
             with pytest.raises(ValueError, match="tau"):
-                build_refinement_lp(table, p, tau=tau)
+                build_refinement_lp(table, tau=tau)
             with pytest.raises(ValueError, match="tau"):
                 refine(p, a, tau=tau)
 
@@ -137,14 +138,14 @@ class TestBuildRefinementLp:
         with pytest.raises(ValueError, match="n=5001"):
             refine(p, a, max_iter=1)
         with pytest.raises(ValueError, match="n=5001"):
-            build_refinement_lp(bound_table(p, a, TOL), p)
+            build_refinement_lp(bound_table(p, a, TOL))
 
 
 class TestDominance:
     def test_baseline_dominates_its_own_table(self):
         p, a = fig_config()
         table = bound_table(p, a, TOL)
-        cells, aggregate = dominance_check(a, table, p)
+        cells, aggregate = dominance_check(a, table)
         assert aggregate
         assert cells.shape == (9, 6)
         assert cells.all()
@@ -153,7 +154,7 @@ class TestDominance:
         p, a = fig_config()
         trace = refine(p, a)
         initial = trace.iterations[0].table
-        _, aggregate = dominance_check(trace.final.coefficients, initial, p)
+        _, aggregate = dominance_check(trace.final.coefficients, initial)
         assert aggregate
 
     def test_root_stored_as_zero_holds(self):
@@ -162,16 +163,27 @@ class TestDominance:
         a = CoefficientVector.uniform(p)
         table = bound_table(p, a, TOL)
         assert table.t[2, 0] == 0.0
-        cells, aggregate = dominance_check(a, table, p)
+        cells, aggregate = dominance_check(a, table)
         assert aggregate
         assert cells.all()
 
-    def test_problem_mismatch_rejected(self):
+
+class TestDerivedFields:
+    def test_eps_and_coefficients_are_read_from_the_table(self):
+        # A table stores its roots alone, and an iterate its table alone,
+        # so no record holds an eps or weights that disagree with them.
         p, a = fig_config()
-        table = bound_table(p, a, TOL)
-        other = CertificateProblem(100, 5, 7, 1e-6)
-        with pytest.raises(ValueError):
-            dominance_check(a, table, other)
+        trace = refine(p, a, TOL)
+        table = trace.iterations[0].table
+        assert [f.name for f in dataclasses.fields(BoundTable)] == [
+            "problem", "coefficients", "tol", "t"]
+        with pytest.raises(TypeError):
+            BoundTable(p, a, TOL, table.t, table.eps)
+        assert table.eps.tobytes() == (1.0 - table.t).tobytes()
+        with pytest.raises(AttributeError):
+            table.eps = np.zeros_like(table.t)
+        for it in trace.iterations:
+            assert it.coefficients is it.table.coefficients
 
 
 class TestRefine:
@@ -348,7 +360,7 @@ class TestWarmSteps:
     def test_batched_lp_equals_per_row_build(self, n, m, zeta):
         p = CertificateProblem(n, m, zeta, 1e-6)
         for it in refine(p, CoefficientVector.uniform(p), TOL, max_iter=1).iterations:
-            lp = build_refinement_lp(it.table, p)
+            lp = build_refinement_lp(it.table)
             c, a_ge, b_ge = per_row_lp(it.table, p)
             assert np.array_equal(lp.c, c)
             assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)
@@ -357,9 +369,9 @@ class TestWarmSteps:
         # A few rows per batch give the same program as one batch.
         p, a = fig_config()
         table = bound_table(p, a, TOL)
-        whole = build_refinement_lp(table, p)
+        whole = build_refinement_lp(table)
         monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", 3 * (p.n + 1) * (p.m + 1))
-        split = build_refinement_lp(table, p)
+        split = build_refinement_lp(table)
         for name in ("c", "a_ge", "b_ge"):
             assert np.array_equal(getattr(whole, name), getattr(split, name)), name
 
@@ -370,9 +382,9 @@ class TestWarmSteps:
         p, a = fig_config()
         t = bound_table(p, a, TOL).t.copy()
         t[[0, 4, 5, -1]] = 0.0
-        table = BoundTable(p, a, TOL, t, 1.0 - t)
+        table = BoundTable(p, a, TOL, t)
         monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", cells_per_batch * (p.n + 1))
-        lp = build_refinement_lp(table, p)
+        lp = build_refinement_lp(table)
         c, a_ge, b_ge = per_row_lp(table, p)
         assert np.array_equal(lp.c, c)
         assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)

@@ -92,27 +92,27 @@ class TestSolveScenario:
 class TestViolations:
     def test_scalar_probability(self):
         solution = solve_scenario(SCALAR, [0.2, 0.9, 0.5])
-        assert violation_probability(SCALAR, solution) == pytest.approx(0.1)
+        assert violation_probability(solution) == pytest.approx(0.1)
 
     def test_box_probability(self):
         samples = np.array([[0.1, 0.2], [0.8, 0.9]])
         solution = solve_scenario(box(2), samples)
-        assert violation_probability(box(2), solution) == pytest.approx(1 - 0.49)
+        assert violation_probability(solution) == pytest.approx(1 - 0.49)
 
     def test_single_sample_box_has_full_risk(self):
         solution = solve_scenario(box(3), np.array([[0.5, 0.5, 0.5]]))
-        assert violation_probability(box(3), solution) == 1.0
+        assert violation_probability(solution) == 1.0
 
     def test_counting(self):
         solution = solve_scenario(SCALAR, [0.2, 0.9, 0.5])
-        assert count_validation_violations(SCALAR, solution, [0.95, 0.5, 0.91]) == 2
-        assert count_validation_violations(SCALAR, solution, np.zeros((0, 1))) == 0
+        assert count_validation_violations(solution, [0.95, 0.5, 0.91]) == 2
+        assert count_validation_violations(solution, np.zeros((0, 1))) == 0
 
     def test_mask_matches_box_membership(self):
         samples = np.array([[0.1, 0.2], [0.8, 0.9]])
         solution = solve_scenario(box(2), samples)
         probe = np.array([[0.5, 0.5], [0.05, 0.5], [0.5, 0.95]])
-        assert violation_mask(box(2), solution, probe).tolist() == [False, True, True]
+        assert violation_mask(solution, probe).tolist() == [False, True, True]
 
 
 class TestSupportExactness:
@@ -169,7 +169,7 @@ class TestBatchedSupportRule:
             assert np.array_equal(decision[i], solution.decision)
             assert np.unique(first[i]).size == solution.support_count
             assert tie[i] == solution.tie
-            assert np.array_equal(mask[i], violation_mask(problem, solution, probe[i].T))
+            assert np.array_equal(mask[i], violation_mask(solution, probe[i].T))
 
 
 def per_run_records(problem, n, m, beta, runs, seed):
@@ -184,9 +184,9 @@ def per_run_records(problem, n, m, beta, runs, seed):
         pts = problem.sample(reference_run_rng(seed, run), n + m)
         solution = solve_scenario(problem, pts[:n])
         s = solution.support_count
-        r = count_validation_violations(problem, solution, pts[n:])
+        r = count_validation_violations(solution, pts[n:])
         records.append(TrialRecord(
-            run, s, r, violation_probability(problem, solution),
+            run, s, r, violation_probability(solution),
             float(eps[s, r]), float(judged[s]),
             float(eta[r]) if m else None,
             chernoff_bound(m, r, beta).value if m else None,
@@ -334,11 +334,11 @@ class TestIncrementalJudgement:
         design = toy.sample(rng, 60)
         validation = toy.sample(rng, 25)
         solution = solve_scenario(toy, design)
-        steps = incremental_judgement(toy, solution, 60, 1e-6, validation)
+        steps = incremental_judgement(solution, 60, 1e-6, validation)
         assert len(steps) == 26
         assert steps[0].m == 0
         assert steps[0].eta is None
-        violating = violation_mask(toy, solution, validation)
+        violating = violation_mask(solution, validation)
         assert violating.any()  # otherwise the test says nothing about rises
         for before, after, hit in zip(steps, steps[1:], violating):
             if hit:
@@ -355,7 +355,7 @@ class TestIncrementalJudgement:
         rng = np.random.default_rng(53)
         design = toy.sample(rng, 40)
         solution = solve_scenario(toy, design)
-        steps = incremental_judgement(toy, solution, 40, 1e-6, toy.sample(rng, 5))
+        steps = incremental_judgement(solution, 40, 1e-6, toy.sample(rng, 5))
         from scencert.posterior_bounds import (
             CertificateProblem,
             CoefficientVector,
@@ -374,4 +374,4 @@ class TestIncrementalJudgement:
         values[1:3] = 0.5
         coeffs = CoefficientVector(values, CertificateProblem(30, 0, 1, 1e-6))
         with pytest.raises(ValueError, match="positive mass"):
-            incremental_judgement(toy, solution, 30, 1e-6, toy.sample(rng, 5), coeffs=coeffs)
+            incremental_judgement(solution, 30, 1e-6, toy.sample(rng, 5), coeffs=coeffs)

@@ -245,7 +245,7 @@ def test_iteration_limit_ends_refine_in_lp_failure(monkeypatch):
     # The first refinement step at (100, 5, 8) takes 6 simplex iterations.
     problem = CertificateProblem(100, 5, 8, 1e-6)
     initial = CoefficientVector.uniform(problem)
-    lp = build_refinement_lp(bound_table(problem, initial), problem)
+    lp = build_refinement_lp(bound_table(problem, initial))
     monkeypatch.setitem(simplex._HIGHS_OPTIONS, "simplex_iteration_limit", 1)
     with pytest.raises(SimplexError, match="[Ii]teration limit"):
         lp_solve(lp)
