@@ -192,8 +192,5 @@ def attaining_table(
     """
     _check_cell(problem, k, l)
     eps = np.ones((problem.zeta + 1, problem.m + 1))
-    if k >= 1:
-        eps[k, : l + 1] = lower_limit(k, l, problem, tol).eps
-    else:
-        eps[k, : l + 1] = 0.0
+    eps[k, : l + 1] = lower_limit(k, l, problem, tol).eps  # 0 for k = 0
     return eps

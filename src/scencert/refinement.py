@@ -11,7 +11,6 @@ toward the Pareto boundary of the family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +44,6 @@ DEFAULT_MAX_ITER = 50
 # reported grid comes from bound_table on a validated vector, and a step
 # that lowers a root ends the run in lp_failure.
 _CONDITION_REFUSE_N = 5000
-
-# Largest log of an objective term summed as it is.  Past it the objective
-# is held divided by a factor that keeps its largest term at exp(_OBJ_LOG_CAP),
-# so no sum of cells overflows; below it that factor is exactly 1.
-_OBJ_LOG_CAP = 600.0
 
 
 class RefinementError(RuntimeError):
@@ -109,15 +103,16 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
     One inequality row per grid cell: the certificate equation at the
     cell's stored root t, linear in the weights,
     sum_j a_j beta C(j, k) t^(j-k) >= C(n, k) t^(n-k) B_m(1-t; l), taken
-    for batches of whole grid rows, one ``_SignEvaluator.log_sides`` call
-    each, and scaled so that its largest coefficient is 1.  A cell whose
-    stored root is 0 (below the root tolerance) gets no row: its eps is
-    already 1 and cannot rise.  A table whose roots are all 0 raises
-    ``ValueError``.  The objective sums C(j, k) t^(j-n) over the cells,
-    divided by its largest entry.  One more row keeps mass >= tau
-    (0 < tau <= 1) on indices zeta..n-1, one equality normalizes the
-    total mass.  A non-finite cell row raises ``RefinementError`` naming
-    the first such cell.
+    for batches of _BATCH_ELEMENTS // (n + 1) cells in grid order, one
+    ``_SignEvaluator.log_sides`` call each, and scaled so that its largest
+    coefficient is 1.  A cell whose stored root is 0 (below the root
+    tolerance) gets no row: its eps is already 1 and cannot rise.  A table
+    whose roots are all 0 raises ``ValueError``.  The objective sums
+    C(j, k) t^(j-n) over the cells, divided by its largest entry; it is
+    taken once from the scaled rows, each weighted by its scale.  One more
+    row keeps mass >= tau (0 < tau <= 1) on indices zeta..n-1, one
+    equality normalizes the total mass.  A non-finite cell row raises
+    ``RefinementError`` naming the first such cell.
     """
     problem = table.problem
     _check_tau(tau)
@@ -130,50 +125,31 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
     t = table.t[k, l]
     a_ge = np.empty((k.size + 1, n + 1))
     b_ge = np.empty(k.size + 1)
-    objective = np.zeros(n + 1)
-    obj_shift = 0.0  # the objective is held divided by exp(obj_shift)
-    # Row k's cells are starts[k]:starts[k + 1].  A batch starts at a
-    # nonempty grid row and takes whole rows, as many as fit _BATCH_ELEMENTS
-    # entries, and at least one.
-    starts = np.searchsorted(k, np.arange(problem.zeta + 2))
-    cells_per_batch = _BATCH_ELEMENTS // (n + 1)
-    rows = slice(0, 0)
-    while rows.stop < k.size:
-        first = int(k[rows.stop])
-        fits = int(np.searchsorted(starts, rows.stop + cells_per_batch, "right")) - 1
-        last = max(first + 1, fits)
-        rows = slice(rows.stop, int(starts[last]))
+    top = np.empty(k.size)
+    step = _BATCH_ELEMENTS // (n + 1)  # at least 13, as n <= _CONDITION_REFUSE_N
+    for start in range(0, k.size, step):
+        rows = slice(start, min(start + step, k.size))
+        first = int(k[start])  # the batch's smallest k, as k is sorted
         terms, tail = ev.log_sides(t[rows], k[rows], l[rows])
-        top = terms.max(axis=1)
-        b_ge[rows] = row_rhs = np.exp(tail - top)
-        bad = ~(np.isfinite(top) & np.isfinite(row_rhs))
+        top[rows] = row_top = terms.max(axis=1)
+        b_ge[rows] = row_rhs = np.exp(tail - row_top)
+        bad = ~(np.isfinite(row_top) & np.isfinite(row_rhs))
         if bad.any():
-            i = rows.start + int(np.argmax(bad))
+            i = start + int(np.argmax(bad))
             raise RefinementError(int(k[i]), int(l[i]),
-                                  f"log scale={top[i - rows.start]!r}, rhs={b_ge[i]!r}")
+                                  f"log scale={top[i]!r}, rhs={b_ge[i]!r}")
         a_ge[rows, :first] = 0.0
-        row_terms = np.subtract(terms, top[:, None], out=a_ge[rows, first:])
-        np.exp(row_terms, out=row_terms)
-        # ln(C(j, k) t^(j-n)) is terms - ln beta - (n-k) ln t, largest where terms is.
-        log_t_n = (n - k[rows]) * np.log(t[rows])
-        log_top = top - ev.log_beta - log_t_n
-        terms -= ev.log_beta
-        # Summed one grid row at a time, and in order, as the shift may grow.
-        for row in range(first, last):
-            cells = slice(starts[row] - rows.start, starts[row + 1] - rows.start)
-            if cells.start == cells.stop:
-                continue
-            shift = max(obj_shift, float(log_top[cells].max()) - _OBJ_LOG_CAP)
-            objective *= math.exp(obj_shift - shift)  # exactly 1 unless the shift grows
-            obj_shift = shift
-            block = terms[cells]
-            block -= (log_t_n[cells] + obj_shift)[:, None]
-            objective[first:] += np.exp(block, out=block).sum(axis=0)
+        np.exp(np.subtract(terms, row_top[:, None], out=terms), out=a_ge[rows, first:])
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.
     a_ge[-1] = 0.0
     a_ge[-1, problem.zeta : n] = 1.0
     b_ge[-1] = tau
 
+    # Row i times exp(top_i) / (beta t_i^(n-k_i)) holds C(j, k_i) t_i^(j-n);
+    # beta cancels in the division by the largest entry, and with weights
+    # and entries at most 1 no term overflows.  einsum sums without BLAS.
+    weight = top - (n - k) * np.log(t)
+    objective = np.einsum("i,ij->j", np.exp(weight - weight.max()), a_ge[:-1])
     objective /= objective.max()
 
     a_eq = np.ones((1, n + 1))

@@ -106,10 +106,12 @@ class TestBuildRefinementLp:
             build_refinement_lp(table)
         assert (info.value.k, info.value.l) == (4, 2)
 
-    def test_objective_past_the_float_range_is_rescaled(self):
-        # zeta near n puts objective terms C(j, k) t^(j-n) near exp(706),
-        # so the objective is summed under a shift and still peaks at 1.
-        p = CertificateProblem(1000, 1, 999, 1e-6)
+    @pytest.mark.parametrize("n, m, zeta", [(1000, 1, 999), (2000, 3, 300)])
+    def test_objective_past_the_float_range_is_rescaled(self, n, m, zeta):
+        # The largest objective term C(j, k) t^(j-n) is near exp(706) at the
+        # first size and exp(858) at the second, at or past the float range;
+        # the objective, taken from the scaled rows, still peaks at 1.
+        p = CertificateProblem(n, m, zeta, 1e-6)
         table = bound_table(p, CoefficientVector.uniform(p), TOL)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -280,8 +282,10 @@ class TestRefine:
 
 def per_row_lp(table, p, tau=refinement.DEFAULT_TAU):
     """The refinement LP built one grid row at a time from per-k log terms
-    ln(beta C(k + i, k) t^i), i = 0..n-k, and a running objective shift."""
-    n, ev = p.n, _SignEvaluator(p, table.coefficients)
+    ln(beta C(k + i, k) t^i), i = 0..n-k, with the objective summed from
+    those terms under a running shift that keeps its largest term at most
+    exp(obj_log_cap)."""
+    n, ev, obj_log_cap = p.n, _SignEvaluator(p, table.coefficients), 600.0
     a_ge = np.zeros((np.count_nonzero(table.t > 0.0) + 1, n + 1))
     b_ge, objective, obj_shift, start = np.empty(a_ge.shape[0]), np.zeros(n + 1), 0.0, 0
     for k in range(p.zeta + 1):
@@ -295,7 +299,7 @@ def per_row_lp(table, p, tau=refinement.DEFAULT_TAU):
         b_ge[rows] = np.exp(tail - top)
         log_t_n = (n - k) * log_t
         log_top = np.max(top - ev.log_beta - log_t_n, initial=-math.inf)
-        shift = max(obj_shift, float(log_top) - refinement._OBJ_LOG_CAP)
+        shift = max(obj_shift, float(log_top) - obj_log_cap)
         objective *= math.exp(obj_shift - shift)
         obj_shift = shift
         log_obj = terms - ev.log_beta
@@ -330,7 +334,7 @@ def count_margin_evals(monkeypatch):
 
 class TestWarmSteps:
     """Each step's grid starts from the previous roots, and its LP is built
-    in batches of grid rows."""
+    in batches of cells."""
 
     @pytest.mark.parametrize("n, m, zeta", [(60, 8, 5), (80, 10, 6), (100, 10, 8),
                                             (300, 30, 10)])
@@ -362,7 +366,8 @@ class TestWarmSteps:
         for it in refine(p, CoefficientVector.uniform(p), TOL, max_iter=1).iterations:
             lp = build_refinement_lp(it.table)
             c, a_ge, b_ge = per_row_lp(it.table, p)
-            assert np.array_equal(lp.c, c)
+            # The objective is summed in another order than the oracle's.
+            np.testing.assert_allclose(lp.c, c, rtol=1e-12)
             assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)
 
     def test_rows_split_into_batches(self, monkeypatch):
@@ -377,8 +382,8 @@ class TestWarmSteps:
 
     @pytest.mark.parametrize("cells_per_batch", [1, 18])
     def test_row_without_roots_between_batches(self, monkeypatch, cells_per_batch):
-        # A grid row whose roots are all 0 gets no LP rows, whether it
-        # follows a row too long for a batch or falls inside a batch.
+        # A grid row whose roots are all 0 gets no LP rows, whether a batch
+        # holds one cell or several grid rows.
         p, a = fig_config()
         t = bound_table(p, a, TOL).t.copy()
         t[[0, 4, 5, -1]] = 0.0
@@ -386,7 +391,7 @@ class TestWarmSteps:
         monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", cells_per_batch * (p.n + 1))
         lp = build_refinement_lp(table)
         c, a_ge, b_ge = per_row_lp(table, p)
-        assert np.array_equal(lp.c, c)
+        np.testing.assert_allclose(lp.c, c, rtol=1e-12)
         assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)
 
 
