@@ -24,7 +24,7 @@ from .posterior_bounds import (
     _SignEvaluator,
     bound_table,
 )
-from .simplex import LinearProgram, LPError, lp_solve
+from .simplex import _MAX_HIGHS_INDEX, LinearProgram, LPError, lp_solve
 
 __all__ = [
     "RefinementError",
@@ -94,25 +94,34 @@ def _check_size(problem: CertificateProblem) -> None:
             f"refinement rows are numerically meaningless for n={problem.n} "
             f"(> {_CONDITION_REFUSE_N})"
         )
+    # One row per cell, counting cells whose root is 0, and two mass rows.
+    entries = ((problem.zeta + 1) * (problem.m + 1) + 2) * (problem.n + 1)
+    if entries > _MAX_HIGHS_INDEX:
+        raise ValueError(
+            f"the refinement LP's {entries} matrix entries overflow HiGHS's "
+            f"32-bit indices (> {_MAX_HIGHS_INDEX})"
+        )
 
 
 def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearProgram:
     """The weight-improvement LP at the table's current roots, for the
     table's problem and coefficients.
 
-    One inequality row per grid cell: the certificate equation at the
-    cell's stored root t, linear in the weights,
+    Its rows come in this order: one per grid cell, then the mass floor,
+    then the total mass.  A cell's row is the certificate equation at
+    the cell's stored root t, linear in the weights,
     sum_j a_j beta C(j, k) t^(j-k) >= C(n, k) t^(n-k) B_m(1-t; l), taken
     for batches of _BATCH_ELEMENTS // (n + 1) cells in grid order, one
     ``_SignEvaluator.log_sides`` call each, and scaled so that its largest
-    coefficient is 1.  A cell whose stored root is 0 (below the root
-    tolerance) gets no row: its eps is already 1 and cannot rise.  A table
-    whose roots are all 0 raises ``ValueError``.  The objective sums
-    C(j, k) t^(j-n) over the cells, divided by its largest entry; it is
-    taken once from the scaled rows, each weighted by its scale.  One more
-    row keeps mass >= tau (0 < tau <= 1) on indices zeta..n-1, one
-    equality normalizes the total mass.  A non-finite cell row raises
-    ``RefinementError`` naming the first such cell.
+    coefficient is 1; its upper bound is +inf.  A cell whose stored root
+    is 0 (below the root tolerance) gets no row: its eps is already 1 and
+    cannot rise.  A table whose roots are all 0 raises ``ValueError``.
+    The mass floor keeps mass >= tau (0 < tau <= 1) on indices
+    zeta..n-1, and the total mass row has lower = upper = 1.  The
+    objective sums C(j, k) t^(j-n) over the cells, divided by its largest
+    entry; it is taken once from the scaled rows, each weighted by its
+    scale.  A non-finite cell row raises ``RefinementError`` naming the
+    first such cell.
     """
     problem = table.problem
     _check_tau(tau)
@@ -123,8 +132,8 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
     n = problem.n
     ev = _SignEvaluator(problem, table.coefficients)
     t = table.t[k, l]
-    a_ge = np.empty((k.size + 1, n + 1))
-    b_ge = np.empty(k.size + 1)
+    a = np.empty((k.size + 2, n + 1))
+    lower = np.empty(k.size + 2)
     top = np.empty(k.size)
     step = _BATCH_ELEMENTS // (n + 1)  # at least 13, as n <= _CONDITION_REFUSE_N
     for start in range(0, k.size, step):
@@ -132,29 +141,28 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
         first = int(k[start])  # the batch's smallest k, as k is sorted
         terms, tail = ev.log_sides(t[rows], k[rows], l[rows])
         top[rows] = row_top = terms.max(axis=1)
-        b_ge[rows] = row_rhs = np.exp(tail - row_top)
+        lower[rows] = row_rhs = np.exp(tail - row_top)
         bad = ~(np.isfinite(row_top) & np.isfinite(row_rhs))
         if bad.any():
             i = start + int(np.argmax(bad))
             raise RefinementError(int(k[i]), int(l[i]),
-                                  f"log scale={top[i]!r}, rhs={b_ge[i]!r}")
-        a_ge[rows, :first] = 0.0
-        np.exp(np.subtract(terms, row_top[:, None], out=terms), out=a_ge[rows, first:])
+                                  f"log scale={top[i]!r}, rhs={lower[i]!r}")
+        a[rows, :first] = 0.0
+        np.exp(np.subtract(terms, row_top[:, None], out=terms), out=a[rows, first:])
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.
-    a_ge[-1] = 0.0
-    a_ge[-1, problem.zeta : n] = 1.0
-    b_ge[-1] = tau
+    a[-2] = 0.0
+    a[-2, problem.zeta : n] = 1.0
+    a[-1] = 1.0
+    lower[-2:] = tau, 1.0
+    upper = np.append(np.full(k.size + 1, np.inf), 1.0)
 
     # Row i times exp(top_i) / (beta t_i^(n-k_i)) holds C(j, k_i) t_i^(j-n);
     # beta cancels in the division by the largest entry, and with weights
     # and entries at most 1 no term overflows.  einsum sums without BLAS.
     weight = top - (n - k) * np.log(t)
-    objective = np.einsum("i,ij->j", np.exp(weight - weight.max()), a_ge[:-1])
+    objective = np.einsum("i,ij->j", np.exp(weight - weight.max()), a[:-2])
     objective /= objective.max()
-
-    a_eq = np.ones((1, n + 1))
-    b_eq = np.array([1.0])
-    return LinearProgram(objective, a_ge, b_ge, a_eq, b_eq)
+    return LinearProgram(objective, a, lower, upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +227,7 @@ def refine(
     for step in range(1, max_iter + 1):
         lp = build_refinement_lp(table, tau)
         try:
-            x = lp_solve(lp).x
+            x = lp_solve(lp)
             coeffs = CoefficientVector(x / x.sum(), problem, scheme="refined")
         except (LPError, ValueError):
             termination = "lp_failure"

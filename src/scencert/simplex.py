@@ -1,22 +1,22 @@
 """Small linear programs, solved by HiGHS.
 
-Problems are stated as
+Problems are stated in HiGHS's row-bounds form,
 
     maximize    c . x
-    subject to  a_ge x >= b_ge
-                a_eq x  = b_eq
-                x >= 0.
+    subject to  lower <= a x <= upper
+                x >= 0,
 
-``lp_solve`` runs the dual revised simplex of HiGHS (Huangfu & Hall,
-Math. Prog. Comp. 10, 2018), which ships with SciPy.  Its extension
+where a side may be infinite and ``lower == upper`` makes a row an
+equality.  ``lp_solve`` runs the dual revised simplex of HiGHS (Huangfu &
+Hall, Math. Prog. Comp. 10, 2018), which ships with SciPy.  Its extension
 module is loaded by file path on the first solve, so ``scipy.optimize``
-(about 23 MB of resident memory) is never imported.  ``passModel``
-takes the program as NumPy arrays: the raveled dense rows of ``[a_ge;
-a_eq]``, int32 row starts every ``n_vars`` entries and the column
-indices ``0..n_vars-1`` for each row, so a program of 2^31 entries or
-more raises ``SimplexError``.  Where that private module is missing or
-will not load, ``scipy.optimize.linprog`` runs HiGHS.  Both paths fix
-these options:
+(about 23 MB of resident memory) is never imported.  ``passModel`` takes
+the program as NumPy arrays: the raveled dense rows of ``a`` and the row
+bounds as they are, int32 row starts every ``len(c)`` entries and the
+column indices ``0..len(c)-1`` for each row, so a program of 2^31
+entries or more raises ``SimplexError``.  Where that private module is
+missing or will not load, ``scipy.optimize.linprog`` runs HiGHS.  Both
+paths fix these options:
 
 - ``output_flag`` off;
 - ``presolve`` off: near their fixed point every row of the refinement
@@ -48,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "LinearProgram",
-    "LPSolution",
     "LPError",
     "LPInfeasibleError",
     "LPUnboundedError",
@@ -85,55 +84,42 @@ class SimplexError(LPError):
     pass
 
 
-def _as_matrix(rows, n_vars: int, name: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        return np.zeros((0, n_vars))
-    if arr.ndim != 2 or arr.shape[1] != n_vars:
-        raise ValueError(f"{name} must have shape (rows, {n_vars}), got {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize c.x  s.t.  a_ge x >= b_ge,  a_eq x = b_eq,  x >= 0."""
+    """maximize c.x  s.t.  lower <= a x <= upper,  x >= 0.
+
+    ``a`` is a dense (rows, len(c)) matrix.  A row bound may be infinite
+    on its open side (-inf below, +inf above); ``lower == upper`` makes
+    the row an equality.
+    """
 
     c: np.ndarray
-    a_ge: np.ndarray
-    b_ge: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
+    a: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError(f"objective must be a nonempty vector, got shape {c.shape}")
-        n = c.size
-        a_ge = _as_matrix(self.a_ge, n, "a_ge")
-        a_eq = _as_matrix(self.a_eq, n, "a_eq")
-        b_ge = np.asarray(self.b_ge, dtype=float).reshape(-1)
-        b_eq = np.asarray(self.b_eq, dtype=float).reshape(-1)
-        if b_ge.size != a_ge.shape[0] or b_eq.size != a_eq.shape[0]:
-            raise ValueError("right-hand sides do not match constraint row counts")
-        for name, arr in (("c", c), ("a_ge", a_ge), ("b_ge", b_ge),
-                          ("a_eq", a_eq), ("b_eq", b_eq)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+        a = np.asarray(self.a, dtype=float)
+        if a.ndim != 2 or a.shape[1] != c.size:
+            raise ValueError(f"a must have shape (rows, {c.size}), got {a.shape}")
+        lower = np.asarray(self.lower, dtype=float).reshape(-1)
+        upper = np.asarray(self.upper, dtype=float).reshape(-1)
+        if lower.size != a.shape[0] or upper.size != a.shape[0]:
+            raise ValueError("row bounds do not match the row count of a")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a))):
+            raise ValueError("c or a contains non-finite entries")
+        # NaN fails lower <= upper, so it is refused with the empty rows.
+        bad = ~(lower <= upper) | (lower == np.inf) | (upper == -np.inf)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"row {i} admits no value: bounds [{lower[i]}, {upper[i]}]")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_ge", a_ge)
-        object.__setattr__(self, "b_ge", b_ge)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-
-    @property
-    def n_vars(self) -> int:
-        return self.c.size
-
-
-@dataclass(frozen=True, eq=False)
-class LPSolution:
-    x: np.ndarray
-    objective: float
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 @cache
@@ -163,19 +149,18 @@ def _load_highs():
 
 
 def _solve_core(h, lp: LinearProgram) -> np.ndarray:
-    n, rows = lp.n_vars, lp.b_ge.size + lp.b_eq.size
-    if rows * n > _MAX_HIGHS_INDEX:
+    (rows, n), entries = lp.a.shape, lp.a.size
+    if entries > _MAX_HIGHS_INDEX:
         raise SimplexError(f"{rows} x {n} matrix entries overflow HiGHS's 32-bit indices")
     highs = h._Highs()
     for name, value in {"output_flag": False, "presolve": "off", **_HIGHS_OPTIONS}.items():
         if highs.setOptionValue(name, value) == h.HighsStatus.kError:
             raise SimplexError(f"HiGHS rejected option {name}={value!r}")
     status = highs.passModel(
-        n, rows, rows * n, int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMaximize), 0.0,
-        lp.c, np.zeros(n), np.full(n, h.kHighsInf), np.concatenate([lp.b_ge, lp.b_eq]),
-        np.concatenate([np.full(lp.b_ge.size, h.kHighsInf), lp.b_eq]),
-        np.arange(0, rows * n, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), rows),
-        np.concatenate([lp.a_ge, lp.a_eq]).ravel(), np.zeros(n, dtype=np.int32))
+        n, rows, entries, int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMaximize), 0.0,
+        lp.c, np.zeros(n), np.full(n, h.kHighsInf), lp.lower, lp.upper,
+        np.arange(0, entries, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), rows),
+        lp.a.ravel(), np.zeros(n, dtype=np.int32))
     if status == h.HighsStatus.kError:
         raise SimplexError("HiGHS rejected the model")
     highs.run()
@@ -190,13 +175,18 @@ def _solve_core(h, lp: LinearProgram) -> np.ndarray:
 def _solve_linprog(lp: LinearProgram) -> np.ndarray:
     from scipy.optimize import OptimizeWarning, linprog
 
+    # linprog takes equalities apart and every other finite side as a <= row.
+    eq = lp.lower == lp.upper
+    below, above = ~eq & (lp.upper < np.inf), ~eq & (lp.lower > -np.inf)
     with warnings.catch_warnings():
         # SciPy passes the options it does not name to HiGHS, and says so.
         names = "|".join(_HIGHS_OPTIONS)
         warnings.filterwarnings("ignore", rf"Unrecognized options detected: \{{'({names})'",
                                 OptimizeWarning)
-        result = linprog(-lp.c, A_ub=-lp.a_ge, b_ub=-lp.b_ge, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                         bounds=(0.0, None), method="highs",
+        result = linprog(-lp.c, A_ub=np.concatenate([lp.a[below], -lp.a[above]]),
+                         b_ub=np.concatenate([lp.upper[below], -lp.lower[above]]),
+                         A_eq=lp.a[eq], b_eq=lp.lower[eq], bounds=(0.0, None),
+                         method="highs",
                          options={"disp": False, "presolve": False, **_HIGHS_OPTIONS})
     if result.status == 0:
         return result.x
@@ -204,8 +194,8 @@ def _solve_linprog(lp: LinearProgram) -> np.ndarray:
     raise error(f"linprog: {result.message}")
 
 
-def lp_solve(lp: LinearProgram) -> LPSolution:
-    """Optimal basic solution of the program, clipped at 0.
+def lp_solve(lp: LinearProgram) -> np.ndarray:
+    """Optimal basic solution x of the program, clipped at 0.
 
     Its feasibility residuals are at the level of the primal feasibility
     tolerance.  Raises LPInfeasibleError or LPUnboundedError when HiGHS
@@ -215,5 +205,4 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     """
     h = _load_highs()
     x = _solve_core(h, lp) if h is not None else _solve_linprog(lp)
-    x = np.clip(x, 0.0, None)
-    return LPSolution(x, float(lp.c @ x))
+    return np.clip(x, 0.0, None)

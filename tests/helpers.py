@@ -158,20 +158,23 @@ def reference_bisect(value, size: int, tol: float):
 def vertex_optimum(lp: LinearProgram) -> float | None:
     """Brute-force LP optimum: enumerate every basis of the standard
     equality form, keep feasible basic solutions, take the best
-    objective.  Returns None when no feasible basis exists."""
-    n = lp.n_vars
-    p = lp.b_ge.size
-    q = lp.b_eq.size
-    rows = p + q
+    objective.  Returns None when no feasible basis exists.
+
+    A finite lower side of an inequality row becomes a x - s = lower, a
+    finite upper side a x + s = upper (a range row gives both), and an
+    equality row a x = lower, with every slack s >= 0."""
+    n = lp.c.size
+    eq = lp.lower == lp.upper
+    ge = ~eq & (lp.lower > -np.inf)
+    le = ~eq & (lp.upper < np.inf)
+    signs = np.concatenate([-np.ones(ge.sum()), np.ones(le.sum())])
+    p = signs.size
+    a_rows = np.concatenate([lp.a[ge], lp.a[le], lp.a[eq]])
+    rows = a_rows.shape[0]
     a = np.zeros((rows, n + p))
-    b = np.empty(rows)
-    if p:
-        a[:p, :n] = lp.a_ge
-        a[:p, n:] = -np.eye(p)
-        b[:p] = lp.b_ge
-    if q:
-        a[p:, :n] = lp.a_eq
-        b[p:] = lp.b_eq
+    a[:, :n] = a_rows
+    a[:p, n:] = np.diag(signs)
+    b = np.concatenate([lp.lower[ge], lp.upper[le], lp.lower[eq]])
     c_ext = np.concatenate([lp.c, np.zeros(p)])
     best = None
     for cols in combinations(range(n + p), rows):
@@ -192,9 +195,10 @@ def vertex_optimum(lp: LinearProgram) -> float | None:
 def random_feasible_lp(rng: np.random.Generator, n_vars: int,
                        zero_heavy: bool = False) -> LinearProgram:
     """A bounded, feasible LP on the probability simplex with a few
-    random inequality rows satisfied strictly at a random interior
-    point.  With ``zero_heavy`` about half of each inequality row is
-    exactly 0, and one entry is 1e-13, below HiGHS's small_matrix_value."""
+    random >= rows satisfied strictly at a random interior point, and the
+    total mass row last.  With ``zero_heavy`` about half of each >= row
+    is exactly 0, and one entry is 1e-13, below HiGHS's
+    small_matrix_value."""
     x0 = rng.random(n_vars) + 0.1
     x0 /= x0.sum()
     n_ineq = int(rng.integers(1, 4))
@@ -203,10 +207,9 @@ def random_feasible_lp(rng: np.random.Generator, n_vars: int,
         a_ge[rng.random(a_ge.shape).argsort(axis=1) < n_vars // 2] = 0.0
         a_ge[int(rng.integers(n_ineq)), int(rng.integers(n_vars))] = 1e-13
     b_ge = a_ge @ x0 - rng.random(n_ineq) * 0.5
-    a_eq = np.ones((1, n_vars))
-    b_eq = np.array([1.0])
     c = rng.normal(size=n_vars)
-    return LinearProgram(c, a_ge, b_ge, a_eq, b_eq)
+    return LinearProgram(c, np.vstack([a_ge, np.ones(n_vars)]), np.append(b_ge, 1.0),
+                         np.append(np.full(n_ineq, np.inf), 1.0))
 
 
 def reference_run_rng(seed: int, run: int) -> np.random.Generator:

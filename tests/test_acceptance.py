@@ -216,7 +216,7 @@ def test_criterion_6_oracle_equivalence():
             lp = random_feasible_lp(rng, int(rng.integers(2, 9)))
             expected = vertex_optimum(lp)
             assert expected is not None
-            assert sc.lp_solve(lp).objective == pytest.approx(expected, abs=1e-7)
+            assert lp.c @ sc.lp_solve(lp) == pytest.approx(expected, abs=1e-7)
             solved += 1
 
         # root solver vs dense sign scan on a million-point grid

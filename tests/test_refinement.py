@@ -18,6 +18,7 @@ from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import BoundTable, CertificateProblem, CoefficientVector
 from scencert.posterior_bounds import bound_table
 from scencert.posterior_bounds import _SignEvaluator
+from scencert.cli import main
 import scencert.refinement as refinement
 from scencert.refinement import (
     RefinementError,
@@ -26,7 +27,7 @@ from scencert.refinement import (
     refine,
 )
 from scencert.serialize import coefficients_json, parse_coefficients, trace_json
-from scencert.simplex import LPSolution, lp_solve
+from scencert.simplex import lp_solve
 
 from helpers import exact_binom_cdf, exact_certificate_sign
 
@@ -44,13 +45,15 @@ class TestBuildRefinementLp:
         a = CoefficientVector.uniform(p)
         lp = build_refinement_lp(bound_table(p, a, TOL))
         assert lp.c.shape == (11,)
-        assert lp.a_ge.shape == (6 + 1, 11)  # one row per cell plus the mass floor
-        assert lp.a_eq.shape == (1, 11)
+        # one row per cell, then the mass floor and the total mass
+        assert lp.a.shape == (6 + 2, 11)
+        assert lp.lower.shape == lp.upper.shape == (6 + 2,)
+        assert np.all(lp.a[-1] == 1.0) and lp.lower[-1] == lp.upper[-1] == 1.0
 
     def test_rows_scaled_to_unit_max(self):
         p, a = fig_config()
         lp = build_refinement_lp(bound_table(p, a, TOL))
-        cell_rows = lp.a_ge[:-1]  # last row is the mass floor
+        cell_rows = lp.a[:-2]  # the last two rows are the mass floor and total
         assert np.abs(cell_rows).max(axis=1) == pytest.approx(
             np.ones(cell_rows.shape[0]), rel=1e-12
         )
@@ -58,10 +61,11 @@ class TestBuildRefinementLp:
     def test_baseline_is_feasible_and_not_better_than_optimum(self):
         p, a = fig_config()
         lp = build_refinement_lp(bound_table(p, a, TOL))
-        assert np.all(lp.a_ge @ a.values >= lp.b_ge - 1e-9)
-        assert lp.a_eq @ a.values == pytest.approx(lp.b_eq, abs=1e-12)
-        solution = lp_solve(lp)
-        assert solution.objective >= float(lp.c @ a.values) - 1e-9
+        ax = lp.a @ a.values
+        assert np.all(ax[:-1] >= lp.lower[:-1] - 1e-9) and np.all(lp.upper[:-1] == np.inf)
+        assert ax[-1] == pytest.approx(lp.lower[-1], abs=1e-12) and lp.upper[-1] == lp.lower[-1]
+        x = lp_solve(lp)
+        assert lp.c @ x >= float(lp.c @ a.values) - 1e-9
 
     def test_row_values_match_exact_equation(self):
         # Row / rhs is beta C(j,k) t^(j-n) / (C(n,k) B_m(1-t; l)) at the
@@ -71,8 +75,8 @@ class TestBuildRefinementLp:
         lp = build_refinement_lp(table)
         beta = Fraction(p.beta)
         cells = [(k, l) for k in range(p.zeta + 1) for l in range(p.m + 1)]
-        assert lp.a_ge.shape[0] == len(cells) + 1
-        for (k, l), row, rhs in zip(cells, lp.a_ge, lp.b_ge):
+        assert lp.a.shape[0] == len(cells) + 2
+        for (k, l), row, rhs in zip(cells, lp.a, lp.lower):
             t = Fraction(float(table.t[k, l]))
             tail = comb(p.n, k) * exact_binom_cdf(p.m, l, 1 - t)
             expected = [float(beta * comb(j, k) * t ** (j - p.n) / tail)
@@ -85,7 +89,7 @@ class TestBuildRefinementLp:
         table = bound_table(p, CoefficientVector.uniform(p), TOL)
         assert np.count_nonzero(table.t == 0.0) == 1
         lp = build_refinement_lp(table)
-        assert lp.a_ge.shape[0] - 1 == table.t.size - 1  # the mass floor is last
+        assert lp.a.shape[0] - 2 == table.t.size - 1  # the two mass rows are last
         p = CertificateProblem(2, 0, 1, 1e-300)
         table = bound_table(p, CoefficientVector.uniform(p), TOL)
         with pytest.raises(ValueError, match="every root is 0"):
@@ -141,6 +145,30 @@ class TestBuildRefinementLp:
             refine(p, a, max_iter=1)
         with pytest.raises(ValueError, match="n=5001"):
             build_refinement_lp(bound_table(p, a, TOL))
+
+    def test_lp_beyond_32_bit_indices_is_refused_before_any_root(self, monkeypatch, capsys):
+        # Lowering the limit stands in for (5000, 22600, 18), whose LP would
+        # have 429,421 x 5,001 entries.  The count includes the one cell
+        # whose root is 0 here, although it would get no row.
+        p = CertificateProblem(3, 0, 2, 1e-14)
+        a = CoefficientVector.uniform(p)
+        table = bound_table(p, a, TOL)
+        entries = ((p.zeta + 1) * (p.m + 1) + 2) * (p.n + 1)
+        assert build_refinement_lp(table).a.size == entries - (p.n + 1)
+        monkeypatch.setattr(refinement, "_MAX_HIGHS_INDEX", entries)
+        assert refine(p, a).termination == "converged"
+        monkeypatch.setattr(refinement, "_MAX_HIGHS_INDEX", entries - 1)
+        with pytest.raises(ValueError, match="32-bit"):
+            build_refinement_lp(table)
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("a root was solved before the refusal")
+
+        monkeypatch.setattr(refinement, "bound_table", no_roots)
+        with pytest.raises(ValueError, match="32-bit"):
+            refine(p, a)
+        assert main(["refine", "--n", "3", "--m", "0", "--zeta", "2", "--beta", "1e-14"]) == 3
+        assert "32-bit" in capsys.readouterr().err
 
 
 class TestDominance:
@@ -236,7 +264,7 @@ class TestRefine:
                 return lp_solve(lp)
             x = np.zeros(p.n + 1)
             x[: p.zeta] = 1.0 / p.zeta
-            return LPSolution(x, float(lp.c @ x))
+            return x
 
         monkeypatch.setattr(refinement, "lp_solve", second_solve_invalid)
         trace = refine(p, a)
@@ -250,8 +278,7 @@ class TestRefine:
         p, a = fig_config()
         x = np.zeros(p.n + 1)
         x[50] = 1.0
-        monkeypatch.setattr(refinement, "lp_solve",
-                            lambda lp: LPSolution(x, float(lp.c @ x)))
+        monkeypatch.setattr(refinement, "lp_solve", lambda lp: x)
         trace = refine(p, a)
         assert trace.termination == "lp_failure"
         assert len(trace.iterations) == 1
@@ -281,13 +308,13 @@ class TestRefine:
 
 
 def per_row_lp(table, p, tau=refinement.DEFAULT_TAU):
-    """The refinement LP built one grid row at a time from per-k log terms
-    ln(beta C(k + i, k) t^i), i = 0..n-k, with the objective summed from
-    those terms under a running shift that keeps its largest term at most
-    exp(obj_log_cap)."""
+    """The refinement LP (c, a, lower, upper) built one grid row at a time
+    from per-k log terms ln(beta C(k + i, k) t^i), i = 0..n-k, with the
+    objective summed from those terms under a running shift that keeps its
+    largest term at most exp(obj_log_cap)."""
     n, ev, obj_log_cap = p.n, _SignEvaluator(p, table.coefficients), 600.0
-    a_ge = np.zeros((np.count_nonzero(table.t > 0.0) + 1, n + 1))
-    b_ge, objective, obj_shift, start = np.empty(a_ge.shape[0]), np.zeros(n + 1), 0.0, 0
+    a = np.zeros((np.count_nonzero(table.t > 0.0) + 2, n + 1))
+    lower, objective, obj_shift, start = np.empty(a.shape[0]), np.zeros(n + 1), 0.0, 0
     for k in range(p.zeta + 1):
         l = np.flatnonzero(table.t[k] > 0.0)
         t = table.t[k, l]
@@ -296,7 +323,7 @@ def per_row_lp(table, p, tau=refinement.DEFAULT_TAU):
         tail = ev._tail_side(log_t, np.log1p(-t), k, l, ev.m)
         top = terms.max(axis=1)
         rows = slice(start, start + l.size)
-        b_ge[rows] = np.exp(tail - top)
+        lower[rows] = np.exp(tail - top)
         log_t_n = (n - k) * log_t
         log_top = np.max(top - ev.log_beta - log_t_n, initial=-math.inf)
         shift = max(obj_shift, float(log_top) - obj_log_cap)
@@ -306,11 +333,14 @@ def per_row_lp(table, p, tau=refinement.DEFAULT_TAU):
         log_obj -= (log_t_n + obj_shift)[:, None]
         objective[k:] += np.exp(log_obj, out=log_obj).sum(axis=0)
         terms -= top[:, None]
-        np.exp(terms, out=a_ge[rows, k:])
+        np.exp(terms, out=a[rows, k:])
         start += l.size
-    a_ge[-1, p.zeta : n] = 1.0
-    b_ge[-1] = tau
-    return objective / objective.max(), a_ge, b_ge
+    a[-2, p.zeta : n] = 1.0
+    a[-1] = 1.0
+    lower[-2:] = tau, 1.0
+    upper = np.full(a.shape[0], np.inf)
+    upper[-1] = 1.0
+    return objective / objective.max(), a, lower, upper
 
 
 def count_margin_evals(monkeypatch):
@@ -365,10 +395,11 @@ class TestWarmSteps:
         p = CertificateProblem(n, m, zeta, 1e-6)
         for it in refine(p, CoefficientVector.uniform(p), TOL, max_iter=1).iterations:
             lp = build_refinement_lp(it.table)
-            c, a_ge, b_ge = per_row_lp(it.table, p)
+            c, a, lower, upper = per_row_lp(it.table, p)
             # The objective is summed in another order than the oracle's.
             np.testing.assert_allclose(lp.c, c, rtol=1e-12)
-            assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)
+            assert np.array_equal(lp.a, a) and np.array_equal(lp.lower, lower)
+            assert np.array_equal(lp.upper, upper)
 
     def test_rows_split_into_batches(self, monkeypatch):
         # A few rows per batch give the same program as one batch.
@@ -377,7 +408,7 @@ class TestWarmSteps:
         whole = build_refinement_lp(table)
         monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", 3 * (p.n + 1) * (p.m + 1))
         split = build_refinement_lp(table)
-        for name in ("c", "a_ge", "b_ge"):
+        for name in ("c", "a", "lower", "upper"):
             assert np.array_equal(getattr(whole, name), getattr(split, name)), name
 
     @pytest.mark.parametrize("cells_per_batch", [1, 18])
@@ -390,9 +421,10 @@ class TestWarmSteps:
         table = BoundTable(p, a, TOL, t)
         monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", cells_per_batch * (p.n + 1))
         lp = build_refinement_lp(table)
-        c, a_ge, b_ge = per_row_lp(table, p)
+        c, a, lower, upper = per_row_lp(table, p)
         np.testing.assert_allclose(lp.c, c, rtol=1e-12)
-        assert np.array_equal(lp.a_ge, a_ge) and np.array_equal(lp.b_ge, b_ge)
+        assert np.array_equal(lp.a, a) and np.array_equal(lp.lower, lower)
+        assert np.array_equal(lp.upper, upper)
 
 
 @pytest.mark.xfail(strict=True, reason=(
