@@ -14,6 +14,7 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .binom_tail import log_binom_cdf
 
@@ -139,7 +140,10 @@ def _binom_tail_root(n, m, beta: float, tol: float) -> np.ndarray:
     the bracketing solve converges unconditionally, and B_n(x; m) <= beta
     at the returned end; the comparison runs in log space because beta is
     typically ~1e-6.  ``n`` and ``m`` may be arrays, which are solved in
-    one ``bisect`` call; the result has their broadcast shape.
+    one ``bisect`` call; the result has their broadcast shape.  Each cell
+    starts from B_n(x; m) = I_{1-x}(n - m, m + 1) inverted by
+    ``betaincinv``, which puts it two points from its bracket; by
+    ``bisect``'s guess contract the brackets are those of a cold solve.
     """
     check_tol(tol)
     log_beta_up = np.nextafter(math.log(beta), math.inf)  # v >= it iff v > ln beta
@@ -148,6 +152,7 @@ def _binom_tail_root(n, m, beta: float, tol: float) -> np.ndarray:
         lambda x, cells: log_binom_cdf(n.flat[cells], m.flat[cells], x) - log_beta_up,
         m.size,
         tol,
+        1.0 - betaincinv(n - m, m + 1, beta),
     )
     return hi.reshape(m.shape)
 

@@ -2,8 +2,8 @@
 
 Every subcommand is a pure function of its flags and seed: no wall clock,
 no environment lookups, fixed 12-significant-digit number formatting.
-Exit codes: 0 success, 2 usage error, 3 numeric or domain error, 4 LP
-failure.
+Exit codes: 0 success, 2 usage error, 3 numeric or domain error (out
+of memory included), 4 LP failure.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "threads", None) is not None:
             resolve_threads(args.threads)
         return args.func(args)
-    except (ValueError, RefinementError, OSError) as exc:
+    except (ValueError, RefinementError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .binom_tail import _BATCH_ELEMENTS, _log_comb, log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_tol
-from .posterior_bounds import CertificateProblem, _check_cell
+from .posterior_bounds import CertificateProblem, _check_cells
 
 __all__ = [
     "z_coefficients",
@@ -190,7 +190,7 @@ def attaining_table(
     problem whose support count is always k, it exhibits empirical
     confidence close to beta.
     """
-    _check_cell(problem, k, l)
+    _check_cells(problem, k, l)
     eps = np.ones((problem.zeta + 1, problem.m + 1))
     eps[k, : l + 1] = lower_limit(k, l, problem, tol).eps  # 0 for k = 0
     return eps

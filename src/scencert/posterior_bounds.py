@@ -27,7 +27,7 @@ max-shifted sum over its nonzero weights only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,15 +204,14 @@ class _SignEvaluator:
         return terms, self._tail_side(log_t, np.log1p(-t), k, l, self.m)
 
 
-def _check_support(problem: CertificateProblem, k: int) -> None:
-    if not 0 <= k <= problem.zeta:
+def _check_cells(problem: CertificateProblem, k, l, m=None) -> None:
+    # Cells (k[i], l[i]) with m[i] validation trials, where k, l and m
+    # broadcast; m defaults to problem.m.
+    trials = problem.m if m is None else np.asarray(m)
+    if np.any(np.less(k, 0) | np.greater(k, problem.zeta)):
         raise ValueError(f"require 0 <= k <= zeta={problem.zeta}, got k={k}")
-
-
-def _check_cell(problem: CertificateProblem, k: int, l: int) -> None:
-    _check_support(problem, k)
-    if not 0 <= l <= problem.m:
-        raise ValueError(f"require 0 <= l <= m={problem.m}, got l={l}")
+    if np.any(np.less(l, 0) | np.greater(l, trials) | np.greater(trials, problem.m)):
+        raise ValueError(f"require 0 <= l <= m <= {problem.m}, got l={l}, m={trials}")
 
 
 def certificate_sign(
@@ -230,20 +229,20 @@ def certificate_sign(
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"require 0 < t < 1, got t={t}")
-    _check_cell(problem, k, l)
+    _check_cells(problem, k, l)
     coeffs.validate_for(problem)
     return int(np.sign(_SignEvaluator(problem, coeffs).margin([t], k, [l])[0]))
 
 
 def _roots(
-    problem: CertificateProblem, coeffs: CoefficientVector, k, l: np.ndarray, tol: float,
+    problem: CertificateProblem, coeffs: CoefficientVector, k, l, tol: float,
     m=None, guess=None,
 ) -> np.ndarray:
     # One solve for the cells (k[i], l[i]) together, cold on [0, 1] or
     # from guess[i]; the margin is >= 0 at each lower end, so eps = 1 -
     # lower is safe.
     ev = _SignEvaluator(problem, coeffs, m)
-    k, l, m = np.broadcast_arrays(k, l, ev.m)
+    k, l, m = (v.ravel() for v in np.broadcast_arrays(k, l, ev.m))
 
     def margin(t: np.ndarray, cells: np.ndarray) -> np.ndarray:
         ev.m = m[cells]  # the trial counts of the open cells
@@ -253,36 +252,33 @@ def _roots(
 
 
 def solve_root(
-    k: int,
+    k,
     l,
     problem: CertificateProblem,
     coeffs: CoefficientVector,
     tol: float = DEFAULT_TOL,
     m=None,
 ):
-    """Root t(k, l) in [0, 1): the one-cell case of the grid solve.
+    """Roots t(k, l) in [0, 1) of any cells, solved in one ``bisect`` call.
 
-    ``bisect`` starts from the whole interval [0, 1], keeps the sign
-    positive at the lower end and negative at the upper end, and returns
-    the lower end of a final bracket narrower than ``tol``: the reported
-    t is at most the true root, so eps = 1 - t never understates the
-    certificate.  A root below ``tol`` is reported as 0.
+    ``k``, ``l`` and ``m`` broadcast to one 1-d array of cells: cell i
+    is (k[i], l[i]) with m[i] validation trials (``problem.m`` by
+    default), 0 <= k[i] <= zeta and 0 <= l[i] <= m[i] <= problem.m.
+    ``bisect`` starts each cell from the whole interval [0, 1], keeps the
+    sign positive at the lower end and negative at the upper end, and
+    returns the lower end of a final bracket narrower than ``tol``: the
+    reported t is at most the true root, so eps = 1 - t never understates
+    the certificate.  A root below ``tol`` is reported as 0.
 
-    ``l`` may also be an array of cells with the one support count k,
-    solved in one ``bisect`` call through ``bound_table``'s ``margin``;
-    a cell's points depend on its own margins alone, so it reports bit for
-    bit the root it gets alone or in the grid.  Cell i then sees m[i]
-    validation trials (``problem.m`` by default), with 0 <= l[i] <= m[i]
-    <= problem.m.  A scalar ``l`` returns a float.
+    A cell's points depend on its own margins alone, so it reports bit
+    for bit the root it gets alone, in any other set of cells, or in
+    ``bound_table``'s grid.  Scalar ``k``, ``l`` and ``m`` return a float.
     """
     coeffs.validate_for(problem)
     check_tol(tol)
-    _check_support(problem, k)
-    trials = problem.m if m is None else np.asarray(m)
-    if np.any(np.less(l, 0) | np.greater(l, trials) | np.greater(trials, problem.m)):
-        raise ValueError(f"require 0 <= l <= m <= {problem.m}, got l={l}, m={trials}")
-    roots = _roots(problem, coeffs, k, np.atleast_1d(l), tol, m)
-    return float(roots[0]) if np.ndim(l) == 0 else roots
+    _check_cells(problem, k, l, m)
+    roots = _roots(problem, coeffs, k, l, tol, m)
+    return float(roots[0]) if np.ndim(k) + np.ndim(l) + np.ndim(m) == 0 else roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +327,7 @@ def wait_and_judge(
 ) -> np.ndarray:
     """Certificates eps(k) from support counts alone (no validation data).
 
-    Convenience wrapper: the m = 0 grid collapsed to one column, indexed
-    by k.
+    The cells (k, 0) with m = 0 validation trials, for k = 0..zeta: the
+    m = 0 grid's one column, indexed by k.
     """
-    zero_m = replace(problem, m=0)
-    return bound_table(zero_m, coeffs, tol).eps[:, 0]
+    return 1.0 - solve_root(np.arange(problem.zeta + 1), 0, problem, coeffs, tol, m=0)

@@ -27,13 +27,7 @@ import numpy as np
 
 from .binom_tail import _BATCH_ELEMENTS
 from .classic_bounds import DEFAULT_TOL, chernoff_bound, clopper_pearson
-from .posterior_bounds import (
-    CertificateProblem,
-    CoefficientVector,
-    bound_table,
-    solve_root,
-    wait_and_judge,
-)
+from .posterior_bounds import CertificateProblem, CoefficientVector, solve_root, wait_and_judge
 
 __all__ = [
     "ToyScenarioProblem",
@@ -315,10 +309,14 @@ def run_monte_carlo(
 
     Each run draws fresh n + m samples from its own deterministic stream,
     which depends only on (``master_seed``, run index), solves the
-    scenario program on the first n, counts validation violations on the
-    rest, and looks its certificates up in tables computed once and
-    shared across runs.  Runs are scored a block at a time, as arrays;
-    the block size changes no record.  Identical ``master_seed`` gives a
+    scenario program on the first n and counts validation violations on
+    the rest.  Runs are scored a block at a time, as arrays; the block
+    size changes no record.  The certificates come after all runs are
+    scored: eps_sr from one ``solve_root`` call over the distinct cells
+    (s, r) the runs landed on, eta and chernoff over their distinct r,
+    and eps_s from ``wait_and_judge``.  Each equals its cell in the full
+    tables bit for bit, so the work grows with the cells the runs reach,
+    not with (zeta + 1)(m + 1).  Identical ``master_seed`` gives a
     bit-identical record stream.
 
     Run i's stream is bit-identical to
@@ -334,13 +332,7 @@ def run_monte_carlo(
     cert = CertificateProblem(n, m, problem.zeta, beta)
     if coeffs is None:
         coeffs = CoefficientVector.uniform(cert)
-    table = bound_table(cert, coeffs, tol)
-    judged = wait_and_judge(cert, coeffs, tol)
-    if m > 0:
-        eta_by_l = clopper_pearson(m, np.arange(m + 1), beta, tol)
-        chern_by_l = np.array([chernoff_bound(m, l, beta).value for l in range(m + 1)])
-    else:
-        eta_by_l = chern_by_l = None
+    judged = wait_and_judge(cert, coeffs, tol)  # checks coeffs and tol before any run
 
     # Each block holds at most _BATCH_ELEMENTS sample coordinates; run i
     # fills row i of it from its own stream, as problem.sample would.  The
@@ -362,13 +354,16 @@ def run_monte_carlo(
         s[start:stop] = 1 + np.count_nonzero(np.diff(first, axis=-1), axis=-1)
         r[start:stop] = np.count_nonzero(_outside(problem, decision, pts[..., n:]), axis=-1)
         v_true[start:stop] = _risk(problem, decision)
-    bounds = {
-        "eps_sr": table.eps[s, r],
-        "eps_s": judged[s],
-        "eta": None if eta_by_l is None else eta_by_l[r],
-        "chernoff": None if chern_by_l is None else chern_by_l[r],
-    }
-    columns = [[None] * runs if bounds[name] is None else bounds[name].tolist()
+    # Each bound is solved once per distinct cell the runs land on.
+    cells, at = np.unique(s * (m + 1) + r, return_inverse=True)
+    roots = solve_root(cells // (m + 1), cells % (m + 1), cert, coeffs, tol)
+    bounds = {"eps_sr": 1.0 - roots[at], "eps_s": judged[s]}
+    if m > 0:  # eta and chernoff need validation samples
+        ls, at_r = np.unique(r, return_inverse=True)
+        bounds["eta"] = clopper_pearson(m, ls, beta, tol)[at_r]
+        chernoff = [chernoff_bound(m, l, beta).value for l in ls.tolist()]
+        bounds["chernoff"] = np.array(chernoff)[at_r]
+    columns = [bounds[name].tolist() if name in bounds else [None] * runs
                for name in BOUND_NAMES]
     records = list(map(TrialRecord._make, zip(
         range(runs), s.tolist(), r.tolist(), v_true.tolist(), *columns, tie.tolist()
@@ -381,7 +376,7 @@ def _aggregate(
     r: np.ndarray,
     v_true: np.ndarray,
     tie: np.ndarray,
-    bounds: dict[str, np.ndarray | None],
+    bounds: dict[str, np.ndarray],
     m: int,
 ) -> GapStatistics:
     runs = s.size
@@ -389,7 +384,7 @@ def _aggregate(
     std_gap: dict[str, float | None] = {}
     confidence: dict[str, float | None] = {}
     for name in BOUND_NAMES:
-        values = bounds[name]
+        values = bounds.get(name)
         if values is None:
             mean_gap[name] = std_gap[name] = confidence[name] = None
             continue

@@ -191,15 +191,50 @@ class TestClopperPearson:
         # The l == m cells are 1 exactly, so the root kernel never sees them.
         sizes = []
 
-        def sized(value, size, tol):
+        def sized(value, size, tol, guess=None):
             sizes.append(size)
-            return bisect(value, size, tol)
+            return bisect(value, size, tol, guess)
 
         monkeypatch.setattr(classic_bounds, "bisect", sized)
         assert clopper_pearson(500, np.arange(501), 1e-6)[-1] == 1.0
         m, l = np.array([1, 1, 2, 7, 7, 100]), np.array([0, 1, 1, 0, 7, 100])
         assert clopper_pearson(m, l, 1e-6)[l == m].tolist() == [1.0, 1.0, 1.0]
         assert sizes == [500, 3]
+
+    @pytest.mark.parametrize("m", [100, 500])
+    def test_roots_take_at_most_two_tail_evaluations(self, monkeypatch, m):
+        # Each cell starts from betaincinv's root: its grid point and the
+        # neighbour on the root's side close the bracket.
+        solves = []
+
+        def counted(value, size, tol, guess=None):
+            evals = np.zeros(size, dtype=int)
+            solves.append(evals)
+
+            def counted_value(x, cells):
+                evals[cells] += 1
+                return value(x, cells)
+
+            return bisect(counted_value, size, tol, guess)
+
+        monkeypatch.setattr(classic_bounds, "bisect", counted)
+        clopper_pearson(m, np.arange(m), 1e-6)
+        [evals] = solves
+        assert evals.max() <= 2
+
+    @pytest.mark.parametrize("beta", [1e-12, 1e-6, 1e-2, 0.3])
+    def test_start_points_change_no_root(self, monkeypatch, beta):
+        m = np.concatenate([np.full(mi, mi) for mi in (1, 2, 7, 100, 500)])
+        l = np.concatenate([np.arange(mi) for mi in (1, 2, 7, 100, 500)])
+        started = clopper_pearson(m, l, beta)
+        started_apriori = [apriori_epsilon(n, 1 + n // 3, beta) for n in (2, 50, 999)]
+
+        def cold(value, size, tol, guess=None):
+            return bisect(value, size, tol)
+
+        monkeypatch.setattr(classic_bounds, "bisect", cold)
+        assert np.array_equal(started, clopper_pearson(m, l, beta))
+        assert started_apriori == [apriori_epsilon(n, 1 + n // 3, beta) for n in (2, 50, 999)]
 
     def test_scalar_call_returns_float(self):
         assert type(clopper_pearson(40, 3, 1e-6)) is float

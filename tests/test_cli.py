@@ -225,6 +225,21 @@ class TestExitCodes:
         assert code == 4
         assert out == "lp_failure after 0 refinement steps\n"
 
+    def test_out_of_memory_is_exit_three_without_traceback(self, capsys, monkeypatch):
+        import scencert.cli as cli_module
+
+        message = "Unable to allocate 16.0 GiB for an array with shape (429402, 5001)"
+
+        def boom(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_module, "refine", boom)
+        code, out, err = run_cli(capsys, "refine", "--n", "30", "--m", "2",
+                                 "--zeta", "3", "--beta", "1e-6")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("n, m, zeta", [(100, 20, 8), (200, 20, 10), (300, 30, 10),
                                             (500, 200, 18)])
     def test_refine_beyond_readme_sizes_ends_in_bounded_time(self, capsys, n, m, zeta):

@@ -163,6 +163,32 @@ class TestSolveRoot:
             assert root == solve_root(2, int(li), cell, a, TOL)
         assert np.array_equal(solve_root(2, l, p, a, TOL), bound_table(p, a, TOL).t[2, l])
 
+    def test_arrays_of_k_l_and_m_equal_grid_cells(self):
+        p, a = uniform_problem(30, 8, 4)
+        k = np.array([0, 4, 2, 3, 1, 4, 2])
+        l = np.array([0, 8, 5, 0, 3, 2, 5])
+        trials = np.array([0, 8, 6, 2, 3, 5, 8])
+        roots = solve_root(k, l, p, a, TOL, m=trials)
+        for root, ki, li, mi in zip(roots, k, l, trials):
+            grid = bound_table(CertificateProblem(30, int(mi), 4, 1e-6), a, TOL)
+            assert root == grid.t[ki, li]
+        table = bound_table(p, a, TOL)
+        assert np.array_equal(solve_root(k, l, p, a, TOL), table.t[k, l])
+        assert np.array_equal(solve_root(np.arange(5), 3, p, a, TOL), table.t[:, 3])
+        assert type(solve_root(2, 3, p, a, TOL)) is float
+
+    @pytest.mark.parametrize("k, l, trials, message", [
+        ([0, 2, 5], 1, None, "k <= zeta=4"),
+        ([0, -1], [1, 2], None, "k <= zeta=4"),
+        ([0, 1], [1, 9], None, "l <= m <= 8"),
+        ([0, 1], [1, 3], [2, 2], "l <= m <= 8"),
+        ([0, 1], 0, [2, 9], "l <= m <= 8"),
+    ])
+    def test_refuses_a_cell_out_of_range_inside_an_array(self, k, l, trials, message):
+        p, a = uniform_problem(30, 8, 4)
+        with pytest.raises(ValueError, match=message):
+            solve_root(np.array(k), np.array(l), p, a, TOL, m=trials)
+
     def test_margin_of_a_cell_does_not_depend_on_its_batch(self, monkeypatch):
         # Mixed (k, l) cells in shuffled order, split across many batches,
         # give bit for bit the margins of one-cell calls, for the uniform
@@ -273,6 +299,13 @@ class TestBoundTable:
         table = bound_table(p, a, TOL)
         assert table.eps.min() > 0.0
         assert table.eps.max() < 1.0
+
+    @pytest.mark.parametrize("n, m, zeta", [(100, 100, 5), (500, 500, 18), (40, 0, 4),
+                                            (300, 30, 10)])
+    def test_wait_and_judge_is_the_m0_grid(self, n, m, zeta):
+        p, a = uniform_problem(n, m, zeta)
+        grid = bound_table(CertificateProblem(n, 0, zeta, p.beta), a, TOL)
+        assert np.array_equal(wait_and_judge(p, a, TOL), grid.eps[:, 0])
 
     def test_wait_and_judge_matches_any_m_last_column(self):
         p, a = uniform_problem(40, 5, 6)

@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from scencert import scenario_lab
-from scencert.classic_bounds import chernoff_bound, clopper_pearson
+from scencert import posterior_bounds, scenario_lab
+from scencert.classic_bounds import bisect, chernoff_bound, clopper_pearson
 from scencert.posterior_bounds import (
     CertificateProblem,
     CoefficientVector,
@@ -227,7 +227,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "problem, m",
-        itertools.product([SCALAR, box(1), box(2), box(5)], [0, 6]),
+        itertools.product([SCALAR, box(1), box(2), box(5)], [0, 6, 30]),
         ids=lambda v: f"{v.kind}-{v.dimension}" if isinstance(v, ToyScenarioProblem) else f"m{v}",
     )
     def test_blocks_match_per_run_oracle(self, monkeypatch, problem, m):
@@ -264,6 +264,21 @@ class TestMonteCarlo:
         stats, records = run_monte_carlo(problem, n, m, 1e-6, runs, master_seed=7)
         assert hashlib.sha256(records_csv(records).encode()).hexdigest() == records_sha
         assert hashlib.sha256(gap_stats_json(stats).encode()).hexdigest() == stats_sha
+
+    def test_root_solve_covers_exactly_the_runs_cells(self, monkeypatch):
+        # One solve over the distinct (s, r) cells and one over eps_s's
+        # zeta + 1 cells; the full grid would be 11 x 101 = 1,111 cells.
+        sizes = []
+
+        def sized(value, size, tol, guess=None):
+            sizes.append(size)
+            return bisect(value, size, tol, guess)
+
+        monkeypatch.setattr(posterior_bounds, "bisect", sized)
+        toy = box(5)
+        _, records = run_monte_carlo(toy, 100, 100, 1e-6, 300, master_seed=42)
+        cells = {(rec.s, rec.r) for rec in records}
+        assert sorted(sizes) == sorted([len(cells), toy.zeta + 1])
 
     def test_records_are_named_tuples(self):
         fields = dict(run=3, s=2, r=1, v_true=0.25, eps_sr=0.5, eps_s=0.75,
