@@ -53,13 +53,15 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
     all to one grid step, where bisection ends if the sign is monotone
     there, or until no double lies inside, within MAX_BISECT_ITER steps.
 
-    ``guess`` optionally holds an estimate of each root.  A cell whose
-    guess lies strictly inside (0, 1) is first evaluated at the guess's
-    grid point g, then at g's grid neighbour on the root's side: g + 2^-L
-    if g is judged below the root, g - 2^-L if above.  ITP then restarts
-    on the bracket those two points leave.  An unmoved root thus takes two
-    points, and since a monotone sign changes at one grid step, a guess
-    changes how many points a cell takes but never its bracket.
+    ``guess`` optionally holds an estimate of each root, nan for none.  A
+    cell with a finite guess is first evaluated at the guess's grid point
+    g, clamped to [2^-L, 1 - 2^-L], then at g's grid neighbour on the
+    root's side: g + 2^-L if g is judged below the root, g - 2^-L if
+    above.  ITP then restarts on the bracket those two points leave.  An
+    unmoved root thus takes two points, one if it lies within a grid step
+    of the end its guess was clamped to, and since a monotone sign changes
+    at one grid step, a guess changes how many points a cell takes but
+    never its bracket.
     """
     spacing = 2.0 ** -next((j for j in range(MAX_BISECT_ITER) if 2.0**-j < tol), MAX_BISECT_ITER)
     lo, hi = np.zeros(size), np.ones(size)
@@ -71,7 +73,8 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
     lead = offset = None
     if guess is not None:
         guess = np.ravel(guess)
-        lead = np.where((guess > 0.0) & (guess < 1.0), np.round(guess / spacing) * spacing, np.nan)
+        lead = np.where(np.isfinite(guess),
+                        np.clip(np.round(guess / spacing) * spacing, spacing, 1.0 - spacing), np.nan)
     for step in range(MAX_BISECT_ITER):
         width = b - a
         keep = (width > spacing) & (np.nextafter(a, 1.0) < b)

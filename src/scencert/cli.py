@@ -33,7 +33,6 @@ from .refinement import (
     DEFAULT_MAX_ITER,
     DEFAULT_TAU,
     DEFAULT_TOL_CONVERGE,
-    RefinementError,
     refine,
 )
 from .scenario_lab import (
@@ -311,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "threads", None) is not None:
             resolve_threads(args.threads)
         return args.func(args)
-    except (ValueError, RefinementError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -93,10 +93,7 @@ def lower_limit(
     on [0, 1], whose steps evaluate only the run's open cells, and in
     which each cell follows the sequence of points it would follow alone.
     """
-    if np.any(np.less(k, 0) | np.greater(k, problem.zeta)):
-        raise ValueError(f"require 0 <= k <= zeta={problem.zeta}, got k={k}")
-    if np.any(np.less(l, 0) | np.greater(l, problem.m)):
-        raise ValueError(f"require 0 <= l <= m={problem.m}, got l={l}")
+    _check_cells(problem, k, l)
     scalar = np.ndim(k) == 0 and np.ndim(l) == 0
     k, l = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(l))
     check_tol(tol)

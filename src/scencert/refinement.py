@@ -27,7 +27,6 @@ from .posterior_bounds import (
 from .simplex import _MAX_HIGHS_INDEX, LinearProgram, LPError, lp_solve
 
 __all__ = [
-    "RefinementError",
     "dominance_check",
     "build_refinement_lp",
     "RefinementIteration",
@@ -38,21 +37,6 @@ __all__ = [
 DEFAULT_TAU = 1e-9
 DEFAULT_TOL_CONVERGE = 1e-9
 DEFAULT_MAX_ITER = 50
-
-# Rows contain t^(j - n); past this n refinement refuses to start.  Below
-# it the LP's accuracy affects only how far a step raises the roots: every
-# reported grid comes from bound_table on a validated vector, and a step
-# that lowers a root ends the run in lp_failure.
-_CONDITION_REFUSE_N = 5000
-
-
-class RefinementError(RuntimeError):
-    """Non-finite LP data; carries the offending grid cell."""
-
-    def __init__(self, k: int, l: int, detail: str):
-        super().__init__(f"refinement LP breaks down at cell (k={k}, l={l}): {detail}")
-        self.k = k
-        self.l = l
 
 
 def dominance_check(candidate: CoefficientVector, table: BoundTable) -> tuple[np.ndarray, bool]:
@@ -89,11 +73,6 @@ def _check_tau(tau: float) -> None:
 
 
 def _check_size(problem: CertificateProblem) -> None:
-    if problem.n > _CONDITION_REFUSE_N:
-        raise ValueError(
-            f"refinement rows are numerically meaningless for n={problem.n} "
-            f"(> {_CONDITION_REFUSE_N})"
-        )
     # One row per cell, counting cells whose root is 0, and two mass rows.
     entries = ((problem.zeta + 1) * (problem.m + 1) + 2) * (problem.n + 1)
     if entries > _MAX_HIGHS_INDEX:
@@ -111,17 +90,16 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
     then the total mass.  A cell's row is the certificate equation at
     the cell's stored root t, linear in the weights,
     sum_j a_j beta C(j, k) t^(j-k) >= C(n, k) t^(n-k) B_m(1-t; l), taken
-    for batches of _BATCH_ELEMENTS // (n + 1) cells in grid order, one
-    ``_SignEvaluator.log_sides`` call each, and scaled so that its largest
-    coefficient is 1; its upper bound is +inf.  A cell whose stored root
+    for batches of max(1, _BATCH_ELEMENTS // (n + 1)) cells in grid order,
+    one ``_SignEvaluator.log_sides`` call each, and scaled so that its
+    largest coefficient is 1; its upper bound is +inf.  A cell whose stored root
     is 0 (below the root tolerance) gets no row: its eps is already 1 and
     cannot rise.  A table whose roots are all 0 raises ``ValueError``.
     The mass floor keeps mass >= tau (0 < tau <= 1) on indices
     zeta..n-1, and the total mass row has lower = upper = 1.  The
     objective sums C(j, k) t^(j-n) over the cells, divided by its largest
     entry; it is taken once from the scaled rows, each weighted by its
-    scale.  A non-finite cell row raises ``RefinementError`` naming the
-    first such cell.
+    scale.
     """
     problem = table.problem
     _check_tau(tau)
@@ -135,18 +113,13 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
     a = np.empty((k.size + 2, n + 1))
     lower = np.empty(k.size + 2)
     top = np.empty(k.size)
-    step = _BATCH_ELEMENTS // (n + 1)  # at least 13, as n <= _CONDITION_REFUSE_N
+    step = max(1, _BATCH_ELEMENTS // (n + 1))
     for start in range(0, k.size, step):
         rows = slice(start, min(start + step, k.size))
         first = int(k[start])  # the batch's smallest k, as k is sorted
         terms, tail = ev.log_sides(t[rows], k[rows], l[rows])
         top[rows] = row_top = terms.max(axis=1)
-        lower[rows] = row_rhs = np.exp(tail - row_top)
-        bad = ~(np.isfinite(row_top) & np.isfinite(row_rhs))
-        if bad.any():
-            i = start + int(np.argmax(bad))
-            raise RefinementError(int(k[i]), int(l[i]),
-                                  f"log scale={top[i]!r}, rhs={lower[i]!r}")
+        lower[rows] = np.exp(tail - row_top)
         a[rows, :first] = 0.0
         np.exp(np.subtract(terms, row_top[:, None], out=terms), out=a[rows, first:])
     # Mass floor on indices zeta..n-1 keeps every refined vector valid.

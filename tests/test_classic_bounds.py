@@ -222,6 +222,28 @@ class TestClopperPearson:
         [evals] = solves
         assert evals.max() <= 2
 
+    def test_root_within_a_grid_step_of_one_takes_one_evaluation(self, monkeypatch):
+        # The root 1 - beta/m lies closer to 1 than a double resolves, and
+        # betaincinv returns 1.0: the guess is clamped to 1 - 2^-L.
+        evals = []
+
+        def counted(value, size, tol, guess=None):
+            def counted_value(x, cells):
+                evals.append(cells.size)
+                return value(x, cells)
+
+            return bisect(counted_value, size, tol, guess)
+
+        monkeypatch.setattr(classic_bounds, "bisect", counted)
+        started = clopper_pearson(20000, 19999, 1e-12)
+        assert evals == [1]
+
+        def cold(value, size, tol, guess=None):
+            return bisect(value, size, tol)
+
+        monkeypatch.setattr(classic_bounds, "bisect", cold)
+        assert started == clopper_pearson(20000, 19999, 1e-12) == 1.0
+
     @pytest.mark.parametrize("beta", [1e-12, 1e-6, 1e-2, 0.3])
     def test_start_points_change_no_root(self, monkeypatch, beta):
         m = np.concatenate([np.full(mi, mi) for mi in (1, 2, 7, 100, 500)])

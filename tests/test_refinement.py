@@ -21,7 +21,6 @@ from scencert.posterior_bounds import _SignEvaluator
 from scencert.cli import main
 import scencert.refinement as refinement
 from scencert.refinement import (
-    RefinementError,
     build_refinement_lp,
     dominance_check,
     refine,
@@ -106,9 +105,10 @@ class TestBuildRefinementLp:
             return terms, tail
 
         monkeypatch.setattr(_SignEvaluator, "log_sides", broken)
-        with pytest.raises(RefinementError) as info:
+        # Every root is positive, so cell (4, 2) has row 4 * (m + 1) + 2.
+        assert np.all(table.t > 0.0)
+        with pytest.raises(ValueError, match=r"^row 26 admits no value: bounds \[nan, inf\]"):
             build_refinement_lp(table)
-        assert (info.value.k, info.value.l) == (4, 2)
 
     @pytest.mark.parametrize("n, m, zeta", [(1000, 1, 999), (2000, 3, 300)])
     def test_objective_past_the_float_range_is_rescaled(self, n, m, zeta):
@@ -138,13 +138,20 @@ class TestBuildRefinementLp:
             with pytest.raises(ValueError, match="tau"):
                 refine(p, a, tau=tau)
 
-    def test_refusal_above_hard_cap(self):
-        p = CertificateProblem(5001, 0, 2, 1e-6)
-        a = CoefficientVector.uniform(p)
-        with pytest.raises(ValueError, match="n=5001"):
-            refine(p, a, max_iter=1)
-        with pytest.raises(ValueError, match="n=5001"):
-            build_refinement_lp(bound_table(p, a, TOL))
+    def test_rows_wider_than_a_batch(self):
+        # n + 1 = 65,537 entries per row exceed _BATCH_ELEMENTS = 2^16, so
+        # each batch holds one cell.
+        p = CertificateProblem(65536, 0, 1, 1e-6)
+        table = bound_table(p, CoefficientVector.uniform(p), TOL)
+        lp = build_refinement_lp(table)
+        assert lp.a.shape == (4, 65537)
+        np.testing.assert_allclose(lp.a[:2].max(axis=1), 1.0, rtol=1e-12)
+        assert np.all(lp.a[1, :1] == 0.0) and np.all(np.isfinite(lp.lower))
+
+    def test_refine_runs_past_n_5000(self, capsys):
+        argv = ["refine", "--n", "5001", "--m", "0", "--zeta", "2", "--beta", "1e-6"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("converged after ")
 
     def test_lp_beyond_32_bit_indices_is_refused_before_any_root(self, monkeypatch, capsys):
         # Lowering the limit stands in for (5000, 22600, 18), whose LP would
