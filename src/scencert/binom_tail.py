@@ -8,9 +8,9 @@ of a Binomial(n, t) distribution, for n up to ~1e5 and tail values down to
 ~1e-12.  Direct summation overflows long before that (C(1000, 500) exceeds
 the double range).  ``log_binom_tails`` therefore takes each tail as one
 regularized incomplete beta value and only its logarithm; a tail too
-small for that value to keep its digits is summed in log space instead,
-as a running log-add of its terms.  Sums of other log-space terms go
-through the max-shifted ``log_sum_exp``.
+small for that value to keep its digits is summed in log space instead.
+That sum, like every other sum of log-space terms here, is one
+max-shifted ``log_sum_exp`` reduction.
 """
 
 from __future__ import annotations
@@ -123,20 +123,19 @@ def log_binom_tails(m, l, log_x, log_1mx):
 
 
 def _log_tails_by_sum(m, l, log_x, log_1mx):
-    """ln B_m(x; l) for 1-d arrays, as a running log-add over the terms
-    ln C(m, i) + i ln x + (m - i) ln(1 - x), i = 0..l, taken for slices
-    of elements that hold at most _BATCH_ELEMENTS terms each."""
+    """ln B_m(x; l) for 1-d arrays, as one max-shifted sum of each
+    element's terms ln C(m, i) + i ln x + (m - i) ln(1 - x), i = 0..l,
+    taken for slices of elements that hold at most _BATCH_ELEMENTS terms
+    each; a row's terms past its element's own l are -inf."""
     step = max(1, _BATCH_ELEMENTS // (int(l.max()) + 1))
     out = np.empty(l.size)
     for start in range(0, l.size, step):
         b = slice(start, start + step)
         i = np.arange(int(l[b].max()) + 1, dtype=float)
         m_b = m[b, None].astype(float)
-        # Terms past an element's own m are placeholders no tail picked below reaches.
         terms = _log_comb(m_b, i) + i * log_x[b, None] + (m_b - i) * log_1mx[b, None]
-        # Every tail of an element from one running log-sum; keep the one at l.
-        tails = np.logaddexp.accumulate(terms, axis=-1)
-        out[b] = tails[np.arange(tails.shape[0]), l[b]]
+        terms[i > l[b, None]] = -np.inf
+        out[b] = _log_sum_exp_inplace(terms)
     return out
 
 

@@ -126,11 +126,13 @@ class _SignEvaluator:
     Every cell sees ``problem.m`` validation trials unless ``m`` gives a
     trial count per cell; margin queries then pass their cells in that
     order.  ``m`` is the one attribute a solve rewrites: ``_roots`` sets
-    it to the open cells' counts before each step."""
+    it to the open cells' counts before each step.  Building one checks
+    the coefficients against the problem."""
 
     def __init__(
         self, problem: CertificateProblem, coeffs: CoefficientVector, m=None
     ):
+        coeffs.validate_for(problem)
         n, zeta = problem.n, problem.zeta
         self.n = n
         self.m = np.asarray(problem.m if m is None else m)
@@ -230,7 +232,6 @@ def certificate_sign(
     if not 0.0 < t < 1.0:
         raise ValueError(f"require 0 < t < 1, got t={t}")
     _check_cells(problem, k, l)
-    coeffs.validate_for(problem)
     return int(np.sign(_SignEvaluator(problem, coeffs).margin([t], k, [l])[0]))
 
 
@@ -274,7 +275,6 @@ def solve_root(
     for bit the root it gets alone, in any other set of cells, or in
     ``bound_table``'s grid.  Scalar ``k``, ``l`` and ``m`` return a float.
     """
-    coeffs.validate_for(problem)
     check_tol(tol)
     _check_cells(problem, k, l, m)
     roots = _roots(problem, coeffs, k, l, tol, m)
@@ -313,7 +313,6 @@ def bound_table(
     sign is monotone on the root grid, and two margins a cell whose root
     is unmoved.
     """
-    coeffs.validate_for(problem)
     check_tol(tol)
     k, l = np.indices((problem.zeta + 1, problem.m + 1)).reshape(2, -1)
     t = _roots(problem, coeffs, k, l, tol, guess=_guess).reshape(problem.zeta + 1, -1)

@@ -54,7 +54,6 @@ def dominance_check(candidate: CoefficientVector, table: BoundTable) -> tuple[np
     moves down by more than a few root tolerances.
     """
     problem = table.problem
-    candidate.validate_for(problem)
     ev = _SignEvaluator(problem, candidate)
     # A root stored as 0 (below the root tolerance) cannot move down; its
     # cell holds, and it is evaluated at a placeholder inside (0, 1).
@@ -140,7 +139,6 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
 
 @dataclass(frozen=True, eq=False)
 class RefinementIteration:
-    index: int
     table: BoundTable
     max_t_increase: float | None  # None on the initial iterate
 
@@ -190,14 +188,13 @@ def refine(
     check_tol(tol_converge, "tol_converge")
     _check_tau(tau)
     _check_size(problem)
-    initial.validate_for(problem)
     table = bound_table(problem, initial, tol_root)
-    iterations = [RefinementIteration(0, table, None)]
+    iterations = [RefinementIteration(table, None)]
     if not (table.t > 0.0).any():
         # Every eps is already 1: no cell has an LP row, nothing can rise.
         return RefinementTrace(iterations, "converged")
     termination = "max_iter"
-    for step in range(1, max_iter + 1):
+    for _ in range(max_iter):
         lp = build_refinement_lp(table, tau)
         try:
             x = lp_solve(lp)
@@ -210,7 +207,7 @@ def refine(
             termination = "lp_failure"
             break
         increase = float(np.max(new_table.t - table.t))
-        iterations.append(RefinementIteration(step, new_table, increase))
+        iterations.append(RefinementIteration(new_table, increase))
         table = new_table
         if increase < tol_converge:
             termination = "converged"

@@ -81,7 +81,7 @@ def _array(items) -> str:
 
 def _json(value) -> str:
     """A JSON document of dicts, lists and float arrays, whose other
-    leaves are strings (taken as JSON text), None, bools, ints and floats."""
+    leaves are strings (taken as JSON text), None, ints and floats."""
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
@@ -92,8 +92,6 @@ def _json(value) -> str:
         return _array(map(_json, value))
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return fmt(value)
     return str(index(value))
@@ -180,9 +178,9 @@ def gap_stats_json(stats) -> str:
 def trace_json(trace) -> str:
     """Refinement trace format: a JSON array, one object per iteration."""
     return _json([
-        {"iter": it.index, "coefficients": it.coefficients.values,
+        {"iter": i, "coefficients": it.coefficients.values,
          "eps_grid": it.table.eps, "max_t_increase": it.max_t_increase}
-        for it in trace.iterations
+        for i, it in enumerate(trace.iterations)
     ]) + "\n"
 
 

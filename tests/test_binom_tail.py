@@ -154,6 +154,8 @@ class TestLogBinomTails:
             (2000, 200, 0.321),  # 4e-121
             (2000, 400, 0.528),  # 3e-200, just above the floor
             (5000, 700, 0.297),  # 4e-150
+            # An upper index in the thousands at m = 20000.
+            (20000, 3000, 0.25),  # 5e-261
         ],
     )
     def test_deep_tails_against_exact(self, m, l, x):

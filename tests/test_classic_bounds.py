@@ -332,3 +332,5 @@ class TestAprioriEpsilon:
             apriori_epsilon(10, 0, 0.5)
         with pytest.raises(ValueError):
             apriori_epsilon(10, 2, 0.0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            apriori_epsilon(0, 1, 1e-6)

@@ -98,6 +98,14 @@ class TestPointQueries:
         assert code == 0
         assert 0.0 < float(out) < 1.0
 
+    def test_lower_limit_point_without_root(self, capsys):
+        code, out, err = run_cli(capsys, "lower-limit", "--n", "5", "--m", "100",
+                                 "--zeta", "2", "--beta", "0.01", "--k", "2",
+                                 "--l", "0")
+        assert code == 0
+        assert out == "0\n"
+        assert err == "warning: no root exists at this cell; limit degenerates to 0\n"
+
 
 class TestExitCodes:
     def test_missing_flag_is_usage_error(self):
@@ -155,6 +163,10 @@ class TestExitCodes:
           "--beta", "1e-3", "--seed", "-1"), "expected non-negative integer"),
         (("incremental", "--kind", "scalar-max", "--n", "5", "--m", "-1",
           "--beta", "1e-3", "--seed", "0"), "m >= 0"),
+        (("lower-limit", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6",
+          "--k", "1"), "error: --k and --l must be given together"),
+        (("lower-limit", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6"),
+         "error: provide --k/--l for a point query or --output for the grid"),
     ])
     def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
                                             args, message):

@@ -51,6 +51,10 @@ class TestZCoefficients:
         with pytest.raises(ValueError):
             z_coefficients(10, 5, 0)
 
+    def test_rejects_k_above_n(self):
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            z_coefficients(3, 2, 4)
+
 
 def test_mixture_summed_by_parts_is_exact():
     # sum_{j<=l} z_j B_{n+m}(eps; k+j-1) = sum_{i<k+l} pmf_i(eps) W_i with

@@ -84,6 +84,13 @@ class TestCoefficientVector:
         with pytest.raises(ValueError):
             CoefficientVector(np.full(9, 1 / 9), p)
 
+    def test_rejects_nan(self):
+        p = CertificateProblem(9, 0, 2, 1e-6)
+        raw = np.full(10, 0.1)
+        raw[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientVector(raw, p)
+
 
 class TestCertificateSign:
     def test_positive_near_zero(self):
@@ -150,8 +157,12 @@ class TestSolveRoot:
     def test_rejects_coefficients_built_for_another_n(self):
         _, coeffs = uniform_problem(40, 5, 3)
         p = CertificateProblem(50, 5, 3, 1e-6)
-        with pytest.raises(ValueError, match="built for n=40"):
-            solve_root(1, 2, p, coeffs, TOL)
+        for solve in (lambda: solve_root(1, 2, p, coeffs, TOL),
+                      lambda: bound_table(p, coeffs, TOL),
+                      lambda: certificate_sign(0.5, 1, 2, p, coeffs),
+                      lambda: refine(p, coeffs, TOL)):
+            with pytest.raises(ValueError, match="built for n=40"):
+                solve()
 
     def test_array_of_cells_equals_single_cells(self):
         p, a = uniform_problem(30, 8, 4)

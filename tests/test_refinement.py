@@ -129,6 +129,16 @@ class TestBuildRefinementLp:
         log_c = np.logaddexp.reduce(np.where(j >= k[:, None], log_terms, -np.inf), axis=0)
         np.testing.assert_allclose(lp.c, np.exp(log_c - log_c.max()), rtol=1e-9, atol=1e-300)
 
+    def test_rejects_a_vector_built_for_another_n(self):
+        # A hand-built table for n = 100 holding weights for n = 50.
+        p, a = fig_config()
+        table = BoundTable(p, CoefficientVector.uniform(CertificateProblem(50, 5, 8, 1e-6)),
+                           TOL, bound_table(p, a, TOL).t)
+        with pytest.raises(ValueError, match="built for n=50, problem has n=100"):
+            build_refinement_lp(table)
+        with pytest.raises(ValueError, match="built for n=50, problem has n=100"):
+            dominance_check(table.coefficients, bound_table(p, a, TOL))
+
     def test_rejects_bad_tau(self):
         p, a = fig_config()
         table = bound_table(p, a, TOL)
@@ -236,6 +246,11 @@ class TestRefine:
         final = trace.final.table
         assert np.all(final.eps <= initial.eps + 2 * TOL)
         assert np.any(initial.eps - final.eps > 1e-6)
+
+    def test_rejects_max_iter_below_one(self):
+        p, a = fig_config()
+        with pytest.raises(ValueError, match="max_iter >= 1"):
+            refine(p, a, max_iter=0)
 
     def test_fixed_point_is_stationary(self):
         p, a = fig_config()

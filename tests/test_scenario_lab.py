@@ -88,6 +88,10 @@ class TestSolveScenario:
         with pytest.raises(ValueError):
             solve_scenario(SCALAR, np.zeros((0, 1)))
 
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(count, 2\), got \(3, 3\)"):
+            solve_scenario(box(2), np.zeros((3, 3)))
+
 
 class TestViolations:
     def test_scalar_probability(self):
