@@ -21,16 +21,10 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 __all__ = [
-    "log_binom_coeff",
     "log_sum_exp",
     "log_binom_cdf",
     "binom_cdf",
 ]
-
-# Below this many factors ln C(n, k) is summed factor by factor; lgamma
-# differencing loses absolute accuracy ~1e-10 at n ~ 1e5, which is only
-# acceptable once the coefficient itself is large.
-_EXACT_FACTOR_LIMIT = 64
 
 # Incomplete beta values below this are recomputed in log space.  SciPy's
 # betainc underflows near 1e-308, and for l <= 38 it loses digits well
@@ -47,22 +41,9 @@ _BETAINC_FLOOR = 1e-200
 _BATCH_ELEMENTS = 1 << 16
 
 
-def log_binom_coeff(n: int, k: int) -> float:
-    """ln C(n, k) for integers 0 <= k <= n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"require n >= 0 and k >= 0, got n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"require k <= n, got n={n}, k={k}")
-    r = min(k, n - k)
-    if r == 0:
-        return 0.0
-    if r <= _EXACT_FACTOR_LIMIT:
-        return math.fsum(math.log(n - i) - math.log(i + 1) for i in range(r))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _log_comb(n, k):
-    """ln C(n, k) elementwise; a finite placeholder where k > n, which callers mask."""
+    """ln C(n, k) elementwise, the package's one rule for it, as lgamma
+    differences; a finite placeholder where k > n, which callers mask."""
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(np.maximum(n - k, 0) + 1.0)
 
 

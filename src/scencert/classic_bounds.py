@@ -53,9 +53,11 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
     all to one grid step, where bisection ends if the sign is monotone
     there, or until no double lies inside, within MAX_BISECT_ITER steps.
 
-    ``guess`` optionally holds an estimate of each root, nan for none.  A
-    cell with a finite guess is first evaluated at the guess's grid point
-    g, clamped to [2^-L, 1 - 2^-L], then at g's grid neighbour on the
+    ``guess`` optionally holds an estimate of each root, nan for none;
+    no guess is a guess of nan for every cell, and a cell guessed nan
+    takes the points of a cold solve, whatever the other cells' guesses.
+    A cell with a finite guess is first evaluated at the guess's grid
+    point g, clamped to [2^-L, 1 - 2^-L], then at g's grid neighbour on the
     root's side: g + 2^-L if g is judged below the root, g - 2^-L if
     above.  ITP then restarts on the bracket those two points leave.  An
     unmoved root thus takes two points, one if it lies within a grid step
@@ -68,22 +70,20 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
     # The open cells: their indices, brackets and end values.
     cells, a, b = np.arange(size), lo.copy(), hi.copy()
     f_a, f_b = np.full(size, np.inf), np.full(size, -np.inf)
-    # A guessed cell's next point while its guess leads (nan for the
-    # rest), then the step its restarted ITP counts from.
-    lead = offset = None
-    if guess is not None:
-        guess = np.ravel(guess)
-        lead = np.where(np.isfinite(guess),
-                        np.clip(np.round(guess / spacing) * spacing, spacing, 1.0 - spacing), np.nan)
+    # A guessed cell's next point while its guess leads (nan for the rest),
+    # then 2^s for s the step its restarted ITP counts from (s = 0 if cold).
+    guess = np.full(size, np.nan) if guess is None else np.ravel(guess)
+    lead = np.where(np.isfinite(guess),
+                    np.clip(np.round(guess / spacing) * spacing, spacing, 1.0 - spacing), np.nan)
+    scale = np.ones(size)
     for step in range(MAX_BISECT_ITER):
         width = b - a
         keep = (width > spacing) & (np.nextafter(a, 1.0) < b)
         if not keep.all():
             shut = ~keep
             lo[cells[shut]], hi[cells[shut]] = a[shut], b[shut]
-            cells, a, b, f_a, f_b, width = (v[keep] for v in (cells, a, b, f_a, f_b, width))
-            lead = None if lead is None else lead[keep]
-            offset = None if offset is None else offset[keep]
+            cells, a, b, f_a, f_b, width, lead, scale = (
+                v[keep] for v in (cells, a, b, f_a, f_b, width, lead, scale))
         if not cells.size:
             break
         mid, gap = 0.5 * (a + b), f_a - f_b
@@ -92,10 +92,10 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
         gap = mid - falsi
         side, trunc = np.sign(gap), 0.2 * width**2  # k1 * width^k2
         x = np.where(trunc <= abs(gap), falsi + side * trunc, mid)
-        # 2^(n0 - 1 - step) - width / 2, n0 = 2
-        reach = np.ldexp(1.0, 1 - step + (0 if offset is None else offset)) - 0.5 * width
+        # 2^(n0 - 1 - step + s) - width / 2, n0 = 2
+        reach = np.ldexp(2.0, -step) * scale - 0.5 * width
         x = np.where(abs(x - mid) <= reach, x, mid - side * reach)
-        if lead is not None:
+        if step < 2:  # a guessed cell's first two points
             x = np.where(np.isnan(lead), x, lead)
         x = np.minimum(np.maximum(np.round(x / spacing) * spacing, a + spacing), b - spacing)
         # A grid finer than doubles: keep x strictly inside (a, b).
@@ -103,11 +103,11 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
         below = (y := value(x, cells)) >= 0.0
         a, f_a = np.where(below, x, a), np.where(below, y, f_a)
         b, f_b = np.where(below, b, x), np.where(below, f_b, y)
-        if lead is not None and step == 0:  # then the neighbour on the root's side
+        if step == 0:  # then the neighbour on the root's side
             lead = np.where(np.isnan(lead), lead, np.where(below, x + spacing, x - spacing))
-        elif lead is not None:  # ITP restarts on what the guess left, at its step for that width
-            offset = np.where(np.isnan(lead), 0, 2 + np.ceil(np.log2(b - a)).astype(int))
-            lead = None
+        elif step == 1:  # ITP restarts on what the guess left, at its step for that width
+            restart = np.ldexp(4.0, np.ceil(np.log2(b - a)).astype(int))
+            scale = np.where(np.isnan(lead), 1.0, restart)
     lo[cells], hi[cells] = a, b
     return lo, hi
 

@@ -89,9 +89,10 @@ def lower_limit(
     W_i = sum_{j=max(0,i-k+1)}^{l} z_j, which do not depend on eps.  The
     cells with a root are sorted by k + l and cut into runs of at most
     _BATCH_ELEMENTS terms, each as wide as its largest k + l.  A run
-    builds its ln W when it starts and is solved in one ``bisect`` call
-    on [0, 1], whose steps evaluate only the run's open cells, and in
-    which each cell follows the sequence of points it would follow alone.
+    builds its ln W when it starts, in one gather over cells of any k,
+    and is solved in one ``bisect`` call on [0, 1], whose steps evaluate
+    only the run's open cells, and in which each cell follows the
+    sequence of points it would follow alone.
     """
     _check_cells(problem, k, l)
     scalar = np.ndim(k) == 0 and np.ndim(l) == 0
@@ -121,16 +122,14 @@ def lower_limit(
         fits = np.arange(1, span.size + 1) * span <= _BATCH_ELEMENTS
         run = slice(start, start + max(1, np.count_nonzero(fits)))
         terms = width[run.stop - 1]
-        # ln W_i is ln W_0 for i < k, then the suffix sums of z_1..z_l
-        log_w = np.full((run.stop - start, terms), -np.inf)
-        for r in np.unique(row[run]):
-            at = np.flatnonzero(row[run] == r)
-            kr, at_l = ks[r], l[cells[run][at]]
-            j = np.arange(1, at_l.max() + 1)
-            suffix = np.where(j <= at_l[:, None], log_z[r, j], -np.inf)
-            log_w[at, :kr] = log_total[run][at, None]
-            suffix = np.logaddexp.accumulate(suffix[:, ::-1], axis=1)[:, ::-1]
-            log_w[at, kr : kr + j.size] = suffix
+        # ln W_i is the forward ln W_0 for i < k (a reversed sum differs in the last
+        # bits), then the reversed running sum of z_{i-k+1}..z_l, -inf past l.
+        k_run, l_run = k[cells[run], None], l[cells[run], None]
+        j = np.arange(l_run.max() + 2)
+        suffix = np.where(j <= l_run, log_z[row[run, None], np.minimum(j, l_run)], -np.inf)
+        suffix = np.logaddexp.accumulate(suffix[:, ::-1], axis=1)[:, ::-1]
+        at = np.clip(np.arange(terms) - k_run + 1, 0, j[-1])
+        log_w = np.where(at == 0, log_total[run, None], np.take_along_axis(suffix, at, axis=1))
         log_w += log_comb[:terms]
         buf = np.empty_like(log_w)
 

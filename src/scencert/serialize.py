@@ -195,12 +195,13 @@ def incremental_json(steps) -> str:
 def write_output(path: str, text: str) -> None:
     """Write text to the file ``path`` resolves to, with the umask's mode,
     by renaming a flushed temporary sibling over it, so no partial file is
-    ever left; a target that is not a regular file is written directly."""
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w") as handle:
+    ever left; a target that is not a regular file, such as /dev/stdout on
+    a pipe (which resolves to "pipe:[N]"), is written directly by its path."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as handle:
             handle.write(text)
         return
+    target = os.path.realpath(path)
     try:
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".scencert-",
                                         suffix=".tmp")

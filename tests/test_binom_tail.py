@@ -13,7 +13,6 @@ from scencert.binom_tail import (
     _BETAINC_FLOOR,
     binom_cdf,
     log_binom_cdf,
-    log_binom_coeff,
     log_binom_tails,
     log_sum_exp,
 )
@@ -24,46 +23,10 @@ from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bou
 from helpers import exact_binom_cdf
 
 
-class TestLogBinomCoeff:
-    def test_small_exact(self):
-        assert log_binom_coeff(5, 2) == pytest.approx(math.log(10), rel=1e-14)
-
-    def test_k_zero_is_zero(self):
-        for n in (0, 1, 7, 1000, 100_000):
-            assert log_binom_coeff(n, 0) == 0.0
-            assert log_binom_coeff(n, n) == 0.0
-
-    def test_central_big_integer(self):
-        # C(50, 25) = 126410606437752 exactly
-        assert log_binom_coeff(50, 25) == pytest.approx(
-            math.log(126410606437752), rel=1e-14
-        )
-
-    def test_relative_error_grid(self):
-        rng = np.random.default_rng(0)
-        for n in (10, 100, 1000, 10_000, 100_000):
-            ks = set(rng.integers(0, n + 1, size=8).tolist()) | {1, 2, n // 2}
-            for k in ks:
-                exact = math.log(math.comb(n, int(k)))
-                got = log_binom_coeff(n, int(k))
-                if exact == 0.0:
-                    assert got == 0.0
-                else:
-                    assert abs(got - exact) <= 1e-12 * abs(exact)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_binom_coeff(3, 4)
-        with pytest.raises(ValueError):
-            log_binom_coeff(-1, 0)
-        with pytest.raises(ValueError):
-            log_binom_coeff(3, -1)
-
-
 class TestLogComb:
     def test_relative_error_grid(self):
-        # The array rule takes lgamma differences, unlike log_binom_coeff's
-        # exact factors; the worst seen up to n = 10^6 is 1.05e-11.
+        # The package's one rule for ln C(n, k) takes lgamma differences;
+        # the worst seen up to n = 10^6 is 1.05e-11.
         rng = np.random.default_rng(2)
         for n in (10, 100, 1000, 10_000, 100_000):
             ks = np.unique(np.r_[rng.integers(0, n + 1, size=40), 1, 2, n // 2, n - 1])

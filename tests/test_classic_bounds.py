@@ -102,11 +102,12 @@ class TestBisect:
     @given(_cells, st.floats(-13.0, -3.0), st.data())
     def test_guess_changes_points_not_brackets(self, cells, log_tol, data):
         # Any guess, on the root's grid step or far off it, at 0 or 1 (a
-        # cold cell) or past the grid's ends, ends where bisection ends.
+        # cold cell), past the grid's ends or nan (none), ends where
+        # bisection ends.
         roots, slopes, family = (np.array(c) for c in zip(*cells))
         value, tol = _monotone_values(roots, slopes, family), 10.0**log_tol
         guess = np.array(data.draw(st.lists(
-            st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0]),
+            st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, np.nan]),
                       st.integers(0, 4096).map(lambda i: i / 4096)),
             min_size=roots.size, max_size=roots.size)))
 
@@ -118,6 +119,32 @@ class TestBisect:
         lo, hi = bisect(checked, roots.size, tol, guess)
         ref_lo, ref_hi = reference_bisect(value, roots.size, tol)
         assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_cells, st.floats(-13.0, -3.0), st.data())
+    def test_cells_guessed_nan_take_the_points_of_no_guess(self, cells, log_tol, data):
+        # nan is "no guess": next to finitely guessed cells, a cell guessed
+        # nan is evaluated at exactly the points a guess=None solve takes.
+        roots, slopes, family = (np.array(c) for c in zip(*cells))
+        value, tol = _monotone_values(roots, slopes, family), 10.0**log_tol
+        guess = np.array(data.draw(st.lists(
+            st.one_of(st.just(np.nan), st.floats(0.0, 1.0)),
+            min_size=roots.size, max_size=roots.size)))
+
+        def points(guess):
+            taken = [[] for _ in range(roots.size)]
+
+            def recorded(x, open_):
+                for cell, point in zip(open_, x):
+                    taken[cell].append(point)
+                return value(x, open_)
+
+            bisect(recorded, roots.size, tol, guess)
+            return taken
+
+        cold, mixed = points(None), points(guess)
+        for cell in np.flatnonzero(np.isnan(guess)):
+            assert mixed[cell] == cold[cell]
 
     def test_no_cells_take_no_points(self):
         lo, hi = bisect(lambda x, cells: pytest.fail("evaluated"), 0, 1e-10)

@@ -7,6 +7,8 @@ import json
 import os
 import shlex
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -319,10 +321,15 @@ class TestFiles:
             "0732b9ddf39d8e185fcfdd62f87af65b9d5e9fc0c208fae575dfc82df4477212",
             marks=_ON_HIGHS_CORE,
         ),
+        # 14 runs that mix k, where the (100, 25, 10) grid fits in one
+        (("lower-limit", "--n", "200", "--m", "400", "--zeta", "10", "--beta", "1e-6",
+          "--output"),
+         "1543feeb7948346d9349a7d9c684d77cac1ca7249de36684b09ea457a33de599"),
     ], ids=["table-100-100-18", "refine-100-10-8", "lower-limit-100-25-10",
             "incremental-box2-500-500", "table-500-500-18", "table-json-100-100-18",
             "lower-limit-json-100-25-10", "simulate-jsonl-box3-40-25",
-            "incremental-json-box2-500-500", "refine-coeffs-100-10-8"])
+            "incremental-json-box2-500-500", "refine-coeffs-100-10-8",
+            "lower-limit-200-400-10"])
     def test_golden_output(self, capsys, tmp_path, args, digest):
         # Any change to a root, a refinement step or the format changes
         # these digests.
@@ -383,6 +390,17 @@ class TestFiles:
             os.close(reader)
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert received == self._plain_output(capsys, tmp_path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_output_to_dev_stdout_on_a_pipe(self, capsys, tmp_path):
+        # /dev/stdout on a pipe resolves to "pipe:[N]", which names no file,
+        # as under `| head` or bash's >(gzip > out.gz).
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-m", "scencert.cli", *self.LIMITS,
+                                 "--output", "/dev/stdout"],
+                                env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == self._plain_output(capsys, tmp_path)
 
     @pytest.mark.parametrize("command", [
         ("table", "--n", "10", "--m", "3", "--zeta", "3", "--beta", "1e-6"), LIMITS,
