@@ -34,11 +34,27 @@ __all__ = [
 # none between 1e-240 and 1e-60 off by 2e-13 relative for l from 40 to 1200.
 _BETAINC_FLOOR = 1e-200
 
-# Largest number of log-terms one array evaluation holds at once.  The
-# log-space tail sum here, a certificate margin evaluation, a lower-limit
-# run and an audit's sample block each take their elements in slices of
-# at most this many terms.
+# Largest number of log-terms one array evaluation holds at once: every
+# batched evaluation in the package takes its slices from ``_batches``.
 _BATCH_ELEMENTS = 1 << 16
+
+
+def _batches(size: int, widths):
+    """Consecutive slices of range(size), each holding at most
+    _BATCH_ELEMENTS log-terms with every item counted at its slice's
+    widest.  ``widths`` is one positive count shared by every item, or a
+    non-decreasing array of them; an item wider than the cap gets a slice
+    of its own."""
+    start, shared = 0, np.ndim(widths) == 0
+    while start < size:
+        if shared:
+            count = _BATCH_ELEMENTS // widths
+        else:  # (c + 1) * widths[start + c] rises with c: the items that fit lead
+            span = widths[start : start + max(1, _BATCH_ELEMENTS // widths[start])]
+            count = np.count_nonzero(np.arange(1, span.size + 1) * span <= _BATCH_ELEMENTS)
+        stop = min(start + max(1, count), size)
+        yield slice(start, stop)
+        start = stop
 
 
 def _log_comb(n, k):
@@ -106,12 +122,10 @@ def log_binom_tails(m, l, log_x, log_1mx):
 def _log_tails_by_sum(m, l, log_x, log_1mx):
     """ln B_m(x; l) for 1-d arrays, as one max-shifted sum of each
     element's terms ln C(m, i) + i ln x + (m - i) ln(1 - x), i = 0..l,
-    taken for slices of elements that hold at most _BATCH_ELEMENTS terms
-    each; a row's terms past its element's own l are -inf."""
-    step = max(1, _BATCH_ELEMENTS // (int(l.max()) + 1))
+    taken for ``_batches`` of elements, each counted at the largest
+    l + 1; a row's terms past its element's own l are -inf."""
     out = np.empty(l.size)
-    for start in range(0, l.size, step):
-        b = slice(start, start + step)
+    for b in _batches(l.size, int(l.max()) + 1):
         i = np.arange(int(l[b].max()) + 1, dtype=float)
         m_b = m[b, None].astype(float)
         terms = _log_comb(m_b, i) + i * log_x[b, None] + (m_b - i) * log_1mx[b, None]

@@ -35,6 +35,14 @@ def check_confidence(beta: float) -> None:
         raise ValueError(f"confidence level beta must lie in (0, 1), got {beta}")
 
 
+def check_counts(**counts) -> None:
+    # NumPy holds a count of 2**64 or more only as an object array, which
+    # SciPy's incomplete beta functions refuse.
+    for name, value in counts.items():
+        if np.asarray(value).dtype == object:
+            raise ValueError(f"require {name} < 2**64, got {name}={value}")
+
+
 def check_tol(tol: float, name: str = "tol") -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"require finite {name} > 0, got {tol}")
@@ -171,6 +179,7 @@ def clopper_pearson(m, l, beta: float, tol: float = DEFAULT_TOL):
     cells come from one ``bisect`` call and equal the scalar calls
     elementwise.  Scalar inputs return a float.
     """
+    check_counts(m=m)
     if np.any(np.less(m, 1)):
         raise ValueError(f"require m >= 1 validation samples, got m={m}")
     if np.any(np.less(l, 0) | np.greater(l, m)):
@@ -190,6 +199,7 @@ def apriori_epsilon(n: int, zeta: int, beta: float, tol: float = DEFAULT_TOL) ->
     root of B_n(x; zeta - 1) = beta in (0, 1).  Requires zeta < n; at
     zeta >= n the bound is vacuous.
     """
+    check_counts(n=n)
     if n < 1:
         raise ValueError(f"require n >= 1, got n={n}")
     if not 1 <= zeta < n:

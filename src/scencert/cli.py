@@ -91,11 +91,7 @@ def _cmd_table(args) -> int:
     problem = CertificateProblem(args.n, args.m, args.zeta, args.beta)
     coeffs = _load_coefficients(problem, args.coeffs)
     table = bound_table(problem, coeffs, args.tol)
-    text = (
-        serialize.table_csv(table)
-        if args.format == "csv"
-        else serialize.table_json(table)
-    )
+    text = (serialize.table_csv if args.format == "csv" else serialize.table_json)(table)
     serialize.write_output(args.output, text)
     return EXIT_OK
 
@@ -117,11 +113,8 @@ def _cmd_lower_limit(args) -> int:
     if args.output is None:
         raise ValueError("provide --k/--l for a point query or --output for the grid")
     table = lower_limit_table(problem, args.tol)
-    text = (
-        serialize.lower_table_csv(table)
-        if args.format == "csv"
-        else serialize.lower_table_json(table)
-    )
+    text = (serialize.lower_table_csv if args.format == "csv"
+            else serialize.lower_table_json)(table)
     serialize.write_output(args.output, text)
     degenerate = int(table.degenerate.sum())
     if degenerate:
@@ -166,11 +159,8 @@ def _cmd_simulate(args) -> int:
         tol=args.tol,
     )
     if args.output is not None:
-        text = (
-            serialize.records_csv(records)
-            if args.format == "csv"
-            else serialize.records_jsonl(records)
-        )
+        text = (serialize.records_csv if args.format == "csv"
+                else serialize.records_jsonl)(records)
         serialize.write_output(args.output, text)
     sys.stdout.write(serialize.gap_stats_json(stats))
     return EXIT_OK
@@ -191,11 +181,8 @@ def _cmd_incremental(args) -> int:
         coeffs=_load_coefficients(cert, args.coeffs),
         tol=args.tol,
     )
-    text = (
-        serialize.incremental_csv(steps)
-        if args.format == "csv"
-        else serialize.incremental_json(steps)
-    )
+    text = (serialize.incremental_csv if args.format == "csv"
+            else serialize.incremental_json)(steps)
     if args.output is not None:
         serialize.write_output(args.output, text)
     else:

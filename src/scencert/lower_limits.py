@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binom_tail import _BATCH_ELEMENTS, _log_comb, log_sum_exp
+from .binom_tail import _batches, _log_comb, log_sum_exp
 from .classic_bounds import DEFAULT_TOL, bisect, check_tol
 from .posterior_bounds import CertificateProblem, _check_cells
 
@@ -87,8 +87,8 @@ def lower_limit(
     Summed by parts, the mixture at cell (k, l) is sum_{i<k+l} pmf_i W_i,
     with pmf_i(eps) the binomial terms in n + m trials and the weights
     W_i = sum_{j=max(0,i-k+1)}^{l} z_j, which do not depend on eps.  The
-    cells with a root are sorted by k + l and cut into runs of at most
-    _BATCH_ELEMENTS terms, each as wide as its largest k + l.  A run
+    cells with a root are sorted by k + l and cut into runs by
+    ``_batches``, each as wide as its largest k + l.  A run
     builds its ln W when it starts, in one gather over cells of any k,
     and is solved in one ``bisect`` call on [0, 1], whose steps evaluate
     only the run's open cells, and in which each cell follows the
@@ -115,12 +115,7 @@ def lower_limit(
     n_total = problem.n + problem.m
     i = np.arange(width[-1] if width.size else 0, dtype=float)
     log_comb = _log_comb(n_total, i)
-    start = 0
-    while start < cells.size:
-        # width is non-decreasing, so (c + 1) * width[start + c] rises with c
-        span = width[start : start + max(1, _BATCH_ELEMENTS // width[start])]
-        fits = np.arange(1, span.size + 1) * span <= _BATCH_ELEMENTS
-        run = slice(start, start + max(1, np.count_nonzero(fits)))
+    for run in _batches(cells.size, width):
         terms = width[run.stop - 1]
         # ln W_i is the forward ln W_0 for i < k (a reversed sum differs in the last
         # bits), then the reversed running sum of z_{i-k+1}..z_l, -inf past l.
@@ -141,7 +136,6 @@ def lower_limit(
             return log_sum_exp(log_terms) + n_total * log_1mx - log_beta_up
 
         eps[cells[run]], _ = bisect(log_excess, len(log_w), tol)
-        start = run.stop
     if scalar:
         return LowerLimit(float(eps[0]), bool(degenerate[0]))
     return LowerLimit(eps, degenerate)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binom_tail import _BATCH_ELEMENTS, _log_comb, _log_sum_exp_inplace, log_binom_tails
-from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_tol
+from .binom_tail import _batches, _log_comb, _log_sum_exp_inplace, log_binom_tails
+from .classic_bounds import DEFAULT_TOL, bisect, check_confidence, check_counts, check_tol
 
 __all__ = [
     "CertificateProblem",
@@ -55,6 +55,7 @@ class CertificateProblem:
     beta: float
 
     def __post_init__(self) -> None:
+        check_counts(n=self.n, m=self.m)
         if self.n < 1:
             raise ValueError(f"require n >= 1 design samples, got n={self.n}")
         if self.m < 0:
@@ -154,18 +155,16 @@ class _SignEvaluator:
     def margin(self, t: np.ndarray, k, l: np.ndarray) -> np.ndarray:
         """ln of the weighted-polynomial side minus ln of the tail side,
         for cells (k[i], l[i]) at roots t[i], where k and l broadcast;
-        positive below the root, negative above it.  Cells go in batches
-        of at most _BATCH_ELEMENTS log-terms, each cell counted at the
-        terms its polynomial side holds at once: one tail for equal
-        weights, otherwise two rows of one term per nonzero weight (the
-        powers and the gathered ln-terms), so no margin depends on which
-        cells share its batch."""
+        positive below the root, negative above it.  Cells go in
+        ``_batches``, each cell counted at the terms its polynomial side
+        holds at once: one tail for equal weights, otherwise two rows of
+        one term per nonzero weight (the powers and the gathered
+        ln-terms), so no margin depends on which cells share its batch."""
         t = np.asarray(t, dtype=float)
         k, l, m = np.broadcast_arrays(k, l, self.m)
         terms = 1 if self._log_terms is None else 2 * self._log_terms.shape[1]
-        step = max(1, _BATCH_ELEMENTS // terms)
-        batches = [slice(s, s + step) for s in range(0, t.size, step)]
-        return np.concatenate([self._margin(t[b], k[b], l[b], m[b]) for b in batches])
+        return np.concatenate([self._margin(t[b], k[b], l[b], m[b])
+                               for b in _batches(t.size, terms)])
 
     def _margin(self, t: np.ndarray, k: np.ndarray, l: np.ndarray, m) -> np.ndarray:
         log_t, log_1mt = np.log(t), np.log1p(-t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binom_tail import _BATCH_ELEMENTS
+from .binom_tail import _batches
 from .classic_bounds import DEFAULT_TOL, check_tol
 from .posterior_bounds import (
     BoundTable,
@@ -89,8 +89,8 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
     then the total mass.  A cell's row is the certificate equation at
     the cell's stored root t, linear in the weights,
     sum_j a_j beta C(j, k) t^(j-k) >= C(n, k) t^(n-k) B_m(1-t; l), taken
-    for batches of max(1, _BATCH_ELEMENTS // (n + 1)) cells in grid order,
-    one ``_SignEvaluator.log_sides`` call each, and scaled so that its
+    for ``_batches`` of cells in grid order, each cell counted at n + 1
+    terms, one ``_SignEvaluator.log_sides`` call each, and scaled so that its
     largest coefficient is 1; its upper bound is +inf.  A cell whose stored root
     is 0 (below the root tolerance) gets no row: its eps is already 1 and
     cannot rise.  A table whose roots are all 0 raises ``ValueError``.
@@ -112,10 +112,8 @@ def build_refinement_lp(table: BoundTable, tau: float = DEFAULT_TAU) -> LinearPr
     a = np.empty((k.size + 2, n + 1))
     lower = np.empty(k.size + 2)
     top = np.empty(k.size)
-    step = max(1, _BATCH_ELEMENTS // (n + 1))
-    for start in range(0, k.size, step):
-        rows = slice(start, min(start + step, k.size))
-        first = int(k[start])  # the batch's smallest k, as k is sorted
+    for rows in _batches(k.size, n + 1):
+        first = int(k[rows.start])  # the batch's smallest k, as k is sorted
         terms, tail = ev.log_sides(t[rows], k[rows], l[rows])
         top[rows] = row_top = terms.max(axis=1)
         lower[rows] = np.exp(tail - row_top)

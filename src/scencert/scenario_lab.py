@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binom_tail import _BATCH_ELEMENTS
+from .binom_tail import _batches
 from .classic_bounds import DEFAULT_TOL, chernoff_bound, clopper_pearson
 from .posterior_bounds import CertificateProblem, CoefficientVector, solve_root, wait_and_judge
 
@@ -334,26 +334,25 @@ def run_monte_carlo(
         coeffs = CoefficientVector.uniform(cert)
     judged = wait_and_judge(cert, coeffs, tol)  # checks coeffs and tol before any run
 
-    # Each block holds at most _BATCH_ELEMENTS sample coordinates; run i
-    # fills row i of it from its own stream, as problem.sample would.  The
-    # block is then copied sample-major, so the support rule reduces
-    # along contiguous rows.
+    # Runs go in _batches, each run counted at its sample coordinates; run
+    # i fills row i of its block from its own stream, as problem.sample
+    # would.  The block is then copied sample-major, so the support rule
+    # reduces along contiguous rows.
     width = n + m
-    block = max(1, _BATCH_ELEMENTS // (width * problem.dimension))
+    block = next(_batches(runs, width * problem.dimension)).stop  # the first is the largest
     drawn = np.empty((block, width, problem.dimension))
     sample_major = np.empty((block, problem.dimension, width))
     s, r = np.empty(runs, dtype=np.intp), np.empty(runs, dtype=np.intp)
     v_true, tie = np.empty(runs), np.empty(runs, dtype=bool)
-    for start in range(0, runs, block):
-        stop = min(start + block, runs)
-        for row, rng in enumerate(streams.generators(start, stop)):
+    for b in _batches(runs, width * problem.dimension):
+        for row, rng in enumerate(streams.generators(b.start, b.stop)):
             rng.random(out=drawn[row])
-        pts = sample_major[: stop - start]
-        np.copyto(pts, drawn[: stop - start].swapaxes(-2, -1))
-        decision, first, tie[start:stop] = _extremes(problem, pts[..., :n])
-        s[start:stop] = 1 + np.count_nonzero(np.diff(first, axis=-1), axis=-1)
-        r[start:stop] = np.count_nonzero(_outside(problem, decision, pts[..., n:]), axis=-1)
-        v_true[start:stop] = _risk(problem, decision)
+        pts = sample_major[: b.stop - b.start]
+        np.copyto(pts, drawn[: b.stop - b.start].swapaxes(-2, -1))
+        decision, first, tie[b] = _extremes(problem, pts[..., :n])
+        s[b] = 1 + np.count_nonzero(np.diff(first, axis=-1), axis=-1)
+        r[b] = np.count_nonzero(_outside(problem, decision, pts[..., n:]), axis=-1)
+        v_true[b] = _risk(problem, decision)
     # Each bound is solved once per distinct cell the runs land on.
     cells, at = np.unique(s * (m + 1) + r, return_inverse=True)
     roots = solve_root(cells // (m + 1), cells % (m + 1), cert, coeffs, tol)
@@ -371,23 +370,12 @@ def run_monte_carlo(
     return _aggregate(s, r, v_true, tie, bounds, m), records
 
 
-def _aggregate(
-    s: np.ndarray,
-    r: np.ndarray,
-    v_true: np.ndarray,
-    tie: np.ndarray,
-    bounds: dict[str, np.ndarray],
-    m: int,
-) -> GapStatistics:
+def _aggregate(s: np.ndarray, r: np.ndarray, v_true: np.ndarray, tie: np.ndarray,
+               bounds: dict[str, np.ndarray], m: int) -> GapStatistics:
     runs = s.size
-    mean_gap: dict[str, float | None] = {}
-    std_gap: dict[str, float | None] = {}
-    confidence: dict[str, float | None] = {}
-    for name in BOUND_NAMES:
-        values = bounds.get(name)
-        if values is None:
-            mean_gap[name] = std_gap[name] = confidence[name] = None
-            continue
+    # A bound that ``bounds`` lacks (eta and chernoff at m = 0) stays None.
+    mean_gap, std_gap, confidence = (dict.fromkeys(BOUND_NAMES) for _ in range(3))
+    for name, values in bounds.items():
         gaps = values - v_true
         mean_gap[name] = float(gaps.mean())
         std_gap[name] = float(gaps.std(ddof=1)) if runs > 1 else 0.0
@@ -396,14 +384,9 @@ def _aggregate(
     for value, count in zip(*np.unique(s, return_counts=True)):
         mean_ratio = float(np.mean(r[s == value] / m)) if m > 0 else None
         occurrences[int(value)] = (int(count), mean_ratio)
-    return GapStatistics(
-        runs=runs,
-        mean_gap=mean_gap,
-        std_gap=std_gap,
-        empirical_confidence=confidence,
-        occurrences=occurrences,
-        ties=int(tie.sum()),
-    )
+    return GapStatistics(runs=runs, mean_gap=mean_gap, std_gap=std_gap,
+                         empirical_confidence=confidence, occurrences=occurrences,
+                         ties=int(tie.sum()))
 
 
 class IncrementalStep(NamedTuple):

@@ -192,13 +192,25 @@ def incremental_json(steps) -> str:
     return _array(_objects(_columns(_STEP_COLUMNS, steps))) + "\n"
 
 
+def _descriptor(path: str) -> int | None:
+    """The open descriptor of this process that ``path`` names through its
+    symbolic links, such as 1 for /dev/stdout on Linux, or None."""
+    while os.path.islink(path) and os.path.exists(path):  # no loop or dangling link
+        if os.path.realpath(os.path.dirname(path)) == f"/proc/{os.getpid()}/fd":
+            return int(os.path.basename(path))
+        path = os.path.join(os.path.dirname(path), os.readlink(path))
+    return None
+
+
 def write_output(path: str, text: str) -> None:
     """Write text to the file ``path`` resolves to, with the umask's mode,
     by renaming a flushed temporary sibling over it, so no partial file is
-    ever left; a target that is not a regular file, such as /dev/stdout on
-    a pipe (which resolves to "pipe:[N]"), is written directly by its path."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as handle:
+    ever left.  A path naming an open descriptor, such as /dev/stdout, is
+    written through it, so ``>> log`` appends; any other target that is
+    not a regular file, such as a FIFO, is written directly by its path."""
+    fd = _descriptor(path)
+    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path if fd is None else fd, "w", closefd=fd is None) as handle:
             handle.write(text)
         return
     target = os.path.realpath(path)

@@ -182,6 +182,36 @@ class TestLogSpaceSumMemory:
         assert max(widest) > 64
 
 
+class TestBatches:
+    def test_no_items_no_slice(self):
+        assert list(binom_tail._batches(0, 5)) == []
+        assert list(binom_tail._batches(0, np.array([], dtype=int))) == []
+
+    @pytest.mark.parametrize("width, step", [(1, 64), (5, 12), (64, 1), (65, 1), (1000, 1)])
+    def test_shared_width_takes_one_step(self, monkeypatch, width, step):
+        # A width above the cap gives one item per slice.
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", 64)
+        got = [(b.start, b.stop) for b in binom_tail._batches(130, width)]
+        starts = list(range(0, 130, step))
+        assert got == [(a, min(a + step, 130)) for a in starts]
+
+    def test_rising_widths_tile_in_order_within_the_cap(self, monkeypatch):
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", 64)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            size = int(rng.integers(1, 60))
+            widths = np.sort(rng.integers(1, 100, size))
+            batches = list(binom_tail._batches(size, widths))
+            assert [b.start for b in batches] == [0] + [b.stop for b in batches[:-1]]
+            assert batches[-1].stop == size
+            for b in batches:
+                items = b.stop - b.start
+                assert items * widths[b.stop - 1] <= 64 or items == 1
+                # greedy: one more item would break the cap
+                if b.stop < size:
+                    assert (items + 1) * widths[b.stop] > 64
+
+
 class TestBinomCdf:
     def test_direct_summation_example(self):
         # (1 + 3) / 8

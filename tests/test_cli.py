@@ -169,6 +169,13 @@ class TestExitCodes:
           "--k", "1"), "error: --k and --l must be given together"),
         (("lower-limit", "--n", "30", "--m", "2", "--zeta", "3", "--beta", "1e-6"),
          "error: provide --k/--l for a point query or --output for the grid"),
+        # Counts of 2**64 or more, which NumPy holds only as object arrays.
+        (("cp", "--m", str(2**64), "--l", "0", "--beta", "1e-3"),
+         "error: require m < 2**64"),
+        (("apriori", "--n", str(2**64), "--zeta", "1", "--beta", "1e-3"),
+         "error: require n < 2**64"),
+        (("bound", "--n", "5", "--m", str(10**20), "--zeta", "2", "--beta", "1e-3",
+          "--k", "0", "--l", "0"), "error: require m < 2**64"),
     ])
     def test_bad_numeric_flag_is_exit_three(self, capsys, monkeypatch, tmp_path,
                                             args, message):
@@ -396,11 +403,20 @@ class TestFiles:
         # /dev/stdout on a pipe resolves to "pipe:[N]", which names no file,
         # as under `| head` or bash's >(gzip > out.gz).
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        result = subprocess.run([sys.executable, "-m", "scencert.cli", *self.LIMITS,
-                                 "--output", "/dev/stdout"],
-                                env=env, capture_output=True, timeout=120)
+        command = [sys.executable, "-m", "scencert.cli", *self.LIMITS, "--output", "/dev/stdout"]
+        result = subprocess.run(command, env=env, capture_output=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == self._plain_output(capsys, tmp_path)
+        plain = self._plain_output(capsys, tmp_path)
+        assert result.stdout == plain
+        # On a regular file opened for append, as under `>> log.txt`, it
+        # resolves to that file, whose earlier lines must survive.
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"earlier line\n")
+        with open(log, "ab") as stdout:
+            result = subprocess.run(command, env=env, stdout=stdout,
+                                    stderr=subprocess.PIPE, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert log.read_bytes() == b"earlier line\n" + plain
 
     @pytest.mark.parametrize("command", [
         ("table", "--n", "10", "--m", "3", "--zeta", "3", "--beta", "1e-6"), LIMITS,

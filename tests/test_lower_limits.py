@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from scencert import lower_limits, serialize
+from scencert import binom_tail, lower_limits, serialize
 from scencert.classic_bounds import apriori_epsilon, bisect
 from scencert.lower_limits import (
     attaining_table,
@@ -195,7 +195,7 @@ class TestLowerLimitRow:
         p = CertificateProblem(30, 12, 4, 1e-3)
         whole = lower_limit_table(p, TOL)
         batch = 40
-        monkeypatch.setattr(lower_limits, "_BATCH_ELEMENTS", batch)
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", batch)
         runs = []
 
         def bisect_spy(value, size, tol):

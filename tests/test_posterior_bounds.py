@@ -205,7 +205,7 @@ class TestSolveRoot:
         # give bit for bit the margins of one-cell calls, for the uniform
         # closed form and for a sparse vector's support sum.  A uniform
         # cell counts 1 term and a sparse one two rows of 4, so 64 splits both.
-        monkeypatch.setattr(posterior_bounds, "_BATCH_ELEMENTS", 64)
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", 64)
         p, a = uniform_problem(60, 40, 12)
         rng = np.random.default_rng(5)
         k = rng.integers(0, p.zeta + 1, 500)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from scencert import posterior_bounds
+from scencert import binom_tail, posterior_bounds
 from scencert.binom_tail import _log_comb
 from scencert.classic_bounds import bisect
 from scencert.lower_limits import lower_limit_table
@@ -428,7 +428,7 @@ class TestWarmSteps:
         p, a = fig_config()
         table = bound_table(p, a, TOL)
         whole = build_refinement_lp(table)
-        monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", 3 * (p.n + 1) * (p.m + 1))
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", 3 * (p.n + 1) * (p.m + 1))
         split = build_refinement_lp(table)
         for name in ("c", "a", "lower", "upper"):
             assert np.array_equal(getattr(whole, name), getattr(split, name)), name
@@ -441,7 +441,7 @@ class TestWarmSteps:
         t = bound_table(p, a, TOL).t.copy()
         t[[0, 4, 5, -1]] = 0.0
         table = BoundTable(p, a, TOL, t)
-        monkeypatch.setattr(refinement, "_BATCH_ELEMENTS", cells_per_batch * (p.n + 1))
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", cells_per_batch * (p.n + 1))
         lp = build_refinement_lp(table)
         c, a, lower, upper = per_row_lp(table, p)
         np.testing.assert_allclose(lp.c, c, rtol=1e-12)

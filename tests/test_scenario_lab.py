@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scencert import posterior_bounds, scenario_lab
+from scencert import binom_tail, posterior_bounds, scenario_lab
 from scencert.classic_bounds import bisect, chernoff_bound, clopper_pearson
 from scencert.posterior_bounds import (
     CertificateProblem,
@@ -237,7 +237,7 @@ class TestMonteCarlo:
     def test_blocks_match_per_run_oracle(self, monkeypatch, problem, m):
         n, runs, seed = 12, 14, 11
         whole, _ = run_monte_carlo(problem, n, m, 1e-3, runs, master_seed=seed)
-        monkeypatch.setattr(scenario_lab, "_BATCH_ELEMENTS",
+        monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS",
                             4 * (n + m) * problem.dimension)
         sizes = []
 
