@@ -61,17 +61,17 @@ def bisect(value: Callable, size: int, tol: float, guess=None):
     all to one grid step, where bisection ends if the sign is monotone
     there, or until no double lies inside, within MAX_BISECT_ITER steps.
 
-    ``guess`` optionally holds an estimate of each root, nan for none;
-    no guess is a guess of nan for every cell, and a cell guessed nan
-    takes the points of a cold solve, whatever the other cells' guesses.
-    A cell with a finite guess is first evaluated at the guess's grid
-    point g, clamped to [2^-L, 1 - 2^-L], then at g's grid neighbour on the
-    root's side: g + 2^-L if g is judged below the root, g - 2^-L if
-    above.  ITP then restarts on the bracket those two points leave.  An
-    unmoved root thus takes two points, one if it lies within a grid step
-    of the end its guess was clamped to, and since a monotone sign changes
-    at one grid step, a guess changes how many points a cell takes but
-    never its bracket.
+    ``guess`` optionally holds an estimate of each root, nan for none (no
+    guess is nan for every cell); a cell guessed nan takes the points of a
+    cold solve, whatever the other cells' guesses.  A cell with a finite
+    guess is first evaluated at the guess's grid point g, clamped to
+    [2^-L, 1 - 2^-L], then at g's grid neighbour on the root's side:
+    g + 2^-L if g is judged below the root, g - 2^-L if above.  ITP then
+    restarts on the bracket those two points leave, at most 1 wide, so
+    the cell takes at most L + 4 points, and an unmoved root two, one if
+    it lies within a grid step of the end its guess was clamped to.  Since
+    a monotone sign changes at one grid step, a guess changes how many
+    points a cell takes but never its bracket.
     """
     spacing = 2.0 ** -next((j for j in range(MAX_BISECT_ITER) if 2.0**-j < tol), MAX_BISECT_ITER)
     lo, hi = np.zeros(size), np.ones(size)

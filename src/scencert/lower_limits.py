@@ -80,9 +80,9 @@ def lower_limit(
     the mixture is still above beta, so the reported limit never exceeds
     the exact one.
 
-    ``k`` and ``l`` may also be 1-d arrays of cells that broadcast
-    together, such as the whole grid that ``lower_limit_table`` passes;
-    the result is then a ``LowerLimit`` of arrays.
+    ``k`` and ``l`` may also be arrays that broadcast together, such as
+    the grid ``lower_limit_table`` passes; like ``solve_root``, they are
+    raveled to one 1-d array of cells, whose results are 1-d arrays.
 
     Summed by parts, the mixture at cell (k, l) is sum_{i<k+l} pmf_i W_i,
     with pmf_i(eps) the binomial terms in n + m trials and the weights
@@ -96,7 +96,7 @@ def lower_limit(
     """
     _check_cells(problem, k, l)
     scalar = np.ndim(k) == 0 and np.ndim(l) == 0
-    k, l = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(l))
+    k, l = (v.ravel() for v in np.broadcast_arrays(k, l))
     check_tol(tol)
     eps, degenerate = np.zeros(l.shape), np.zeros(l.shape, dtype=bool)
     cells = np.flatnonzero(k >= 1)
@@ -162,7 +162,7 @@ def lower_limit_table(
     call follows for it.
     """
     k, l = np.indices((problem.zeta + 1, problem.m + 1))
-    eps, degenerate = lower_limit(k.ravel(), l.ravel(), problem, tol)
+    eps, degenerate = lower_limit(k, l, problem, tol)
     return LowerLimitTable(problem, tol, eps.reshape(k.shape), degenerate.reshape(k.shape))
 
 

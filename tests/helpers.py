@@ -6,10 +6,13 @@ the certificate equation, plain log-sum-exp over every term for the
 certificate margin, plain linear-domain polynomial evaluation for root
 scans, plain bisection for the root kernel, brute-force basis
 enumeration for linear programs, and NumPy's own seeding for the Monte
-Carlo audit's per-run streams.
+Carlo audit's per-run streams.  ``record_solves`` and ``solve_cold`` are
+the suite's only stand-ins for the root kernel ``bisect``.
 """
 
+import inspect
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -18,6 +21,7 @@ from math import comb
 import numpy as np
 from scipy.special import logsumexp
 
+from scencert.classic_bounds import bisect
 from scencert.simplex import LinearProgram
 
 
@@ -153,6 +157,52 @@ def reference_bisect(value, size: int, tol: float):
         below = value(mid, cells) >= 0.0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return lo, hi
+
+
+@dataclass
+class Solve:
+    """One ``bisect`` call: its cell count, whether it had a guess, the
+    evaluations of each cell, and the open cells of each step."""
+
+    size: int
+    guessed: bool
+    evals: np.ndarray
+    steps: list
+
+
+def record_solves(monkeypatch, *modules) -> list[Solve]:
+    """Replace ``bisect`` in ``modules`` with a call that passes every
+    argument on unchanged and appends a ``Solve`` to the returned list."""
+    solves = []
+
+    def recorded(value, *args, **kwargs):
+        passed = inspect.signature(bisect).bind(value, *args, **kwargs).arguments
+        size = passed["size"]
+        solve = Solve(size, passed.get("guess") is not None, np.zeros(size, dtype=int), [])
+        solves.append(solve)
+
+        def counted(x, cells):
+            solve.evals[cells] += 1
+            solve.steps.append(cells.copy())
+            return value(x, cells)
+
+        return bisect(counted, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "bisect", recorded)
+    return solves
+
+
+def solve_cold(monkeypatch, *modules) -> None:
+    """Replace ``bisect`` in ``modules`` with a call that drops its guess."""
+
+    def cold(value, *args, **kwargs):
+        passed = inspect.signature(bisect).bind(value, *args, **kwargs).arguments
+        passed.pop("guess", None)
+        return bisect(**passed)
+
+    for module in modules:
+        monkeypatch.setattr(module, "bisect", cold)
 
 
 def vertex_optimum(lp: LinearProgram) -> float | None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_bisect
+from helpers import record_solves, reference_bisect, solve_cold
 from scencert import classic_bounds
 from scencert.binom_tail import binom_cdf
 from scencert.classic_bounds import (
@@ -103,22 +103,26 @@ class TestBisect:
     def test_guess_changes_points_not_brackets(self, cells, log_tol, data):
         # Any guess, on the root's grid step or far off it, at 0 or 1 (a
         # cold cell), past the grid's ends or nan (none), ends where
-        # bisection ends.
+        # bisection ends, and within L + 4 points per cell: two guessed,
+        # then ITP restarted on a bracket at most 1 wide.
         roots, slopes, family = (np.array(c) for c in zip(*cells))
         value, tol = _monotone_values(roots, slopes, family), 10.0**log_tol
         guess = np.array(data.draw(st.lists(
             st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, np.nan]),
                       st.integers(0, 4096).map(lambda i: i / 4096)),
             min_size=roots.size, max_size=roots.size)))
+        steps = np.zeros(roots.size, dtype=int)
 
         def checked(x, open_):
             assert np.all((0.0 < x) & (x < 1.0))
             assert np.unique(open_).size == open_.size
+            steps[open_] += 1
             return value(x, open_)
 
         lo, hi = bisect(checked, roots.size, tol, guess)
         ref_lo, ref_hi = reference_bisect(value, roots.size, tol)
         assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert steps.max() <= _halvings(tol) + 4
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(_cells, st.floats(-13.0, -3.0), st.data())
@@ -216,59 +220,28 @@ class TestClopperPearson:
 
     def test_array_solves_only_cells_below_m(self, monkeypatch):
         # The l == m cells are 1 exactly, so the root kernel never sees them.
-        sizes = []
-
-        def sized(value, size, tol, guess=None):
-            sizes.append(size)
-            return bisect(value, size, tol, guess)
-
-        monkeypatch.setattr(classic_bounds, "bisect", sized)
+        solves = record_solves(monkeypatch, classic_bounds)
         assert clopper_pearson(500, np.arange(501), 1e-6)[-1] == 1.0
         m, l = np.array([1, 1, 2, 7, 7, 100]), np.array([0, 1, 1, 0, 7, 100])
         assert clopper_pearson(m, l, 1e-6)[l == m].tolist() == [1.0, 1.0, 1.0]
-        assert sizes == [500, 3]
+        assert [solve.size for solve in solves] == [500, 3]
 
     @pytest.mark.parametrize("m", [100, 500])
     def test_roots_take_at_most_two_tail_evaluations(self, monkeypatch, m):
         # Each cell starts from betaincinv's root: its grid point and the
         # neighbour on the root's side close the bracket.
-        solves = []
-
-        def counted(value, size, tol, guess=None):
-            evals = np.zeros(size, dtype=int)
-            solves.append(evals)
-
-            def counted_value(x, cells):
-                evals[cells] += 1
-                return value(x, cells)
-
-            return bisect(counted_value, size, tol, guess)
-
-        monkeypatch.setattr(classic_bounds, "bisect", counted)
+        solves = record_solves(monkeypatch, classic_bounds)
         clopper_pearson(m, np.arange(m), 1e-6)
-        [evals] = solves
-        assert evals.max() <= 2
+        [solve] = solves
+        assert solve.evals.max() <= 2
 
     def test_root_within_a_grid_step_of_one_takes_one_evaluation(self, monkeypatch):
         # The root 1 - beta/m lies closer to 1 than a double resolves, and
         # betaincinv returns 1.0: the guess is clamped to 1 - 2^-L.
-        evals = []
-
-        def counted(value, size, tol, guess=None):
-            def counted_value(x, cells):
-                evals.append(cells.size)
-                return value(x, cells)
-
-            return bisect(counted_value, size, tol, guess)
-
-        monkeypatch.setattr(classic_bounds, "bisect", counted)
+        solves = record_solves(monkeypatch, classic_bounds)
         started = clopper_pearson(20000, 19999, 1e-12)
-        assert evals == [1]
-
-        def cold(value, size, tol, guess=None):
-            return bisect(value, size, tol)
-
-        monkeypatch.setattr(classic_bounds, "bisect", cold)
+        assert [cells.size for solve in solves for cells in solve.steps] == [1]
+        solve_cold(monkeypatch, classic_bounds)
         assert started == clopper_pearson(20000, 19999, 1e-12) == 1.0
 
     @pytest.mark.parametrize("beta", [1e-12, 1e-6, 1e-2, 0.3])
@@ -277,11 +250,7 @@ class TestClopperPearson:
         l = np.concatenate([np.arange(mi) for mi in (1, 2, 7, 100, 500)])
         started = clopper_pearson(m, l, beta)
         started_apriori = [apriori_epsilon(n, 1 + n // 3, beta) for n in (2, 50, 999)]
-
-        def cold(value, size, tol, guess=None):
-            return bisect(value, size, tol)
-
-        monkeypatch.setattr(classic_bounds, "bisect", cold)
+        solve_cold(monkeypatch, classic_bounds)
         assert np.array_equal(started, clopper_pearson(m, l, beta))
         assert started_apriori == [apriori_epsilon(n, 1 + n // 3, beta) for n in (2, 50, 999)]
 

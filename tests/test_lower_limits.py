@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scencert import binom_tail, lower_limits, serialize
-from scencert.classic_bounds import apriori_epsilon, bisect
+from scencert.classic_bounds import apriori_epsilon
 from scencert.lower_limits import (
     attaining_table,
     lower_limit,
@@ -18,7 +18,7 @@ from scencert.lower_limits import (
 from scencert.binom_tail import log_sum_exp
 from scencert.posterior_bounds import CertificateProblem, CoefficientVector, bound_table
 
-from helpers import exact_lower_lhs, exact_z
+from helpers import exact_lower_lhs, exact_z, record_solves
 
 TOL = 1e-10
 
@@ -177,6 +177,16 @@ class TestLowerLimitRow:
             assert np.array_equal(eps, want_eps)
             assert np.array_equal(degenerate, want_degenerate)
 
+    @pytest.mark.parametrize("problem", [CertificateProblem(20, 5, 3, 1e-6), P])
+    def test_2d_cells_equal_their_raveled_form(self, problem):
+        k = np.array([[1, 1], [2, 3]])
+        for l in (0, np.array([[0, 5], [2, 4]]), np.array([3, 1])):
+            eps, degenerate = lower_limit(k, l, problem)
+            want_eps, want_degenerate = lower_limit(
+                *(v.ravel() for v in np.broadcast_arrays(k, l)), problem)
+            assert np.array_equal(eps, want_eps)
+            assert np.array_equal(degenerate, want_degenerate)
+
     def test_scalar_call_returns_float_and_bool(self):
         for k, l in [(0, 2), (1, 0), (2, 6)]:
             value = lower_limit(k, l, self.P)
@@ -196,23 +206,13 @@ class TestLowerLimitRow:
         whole = lower_limit_table(p, TOL)
         batch = 40
         monkeypatch.setattr(binom_tail, "_BATCH_ELEMENTS", batch)
-        runs = []
-
-        def bisect_spy(value, size, tol):
-            runs.append([])
-
-            def value_spy(x, cells):
-                runs[-1].append([cells])
-                return value(x, cells)
-
-            return bisect(value_spy, size, tol)
+        solves, sums = record_solves(monkeypatch, lower_limits), []
 
         def log_sum_exp_spy(log_terms):
             # cell (k, l) has k + l pmf terms; the padding beyond is -inf
-            runs[-1][-1] += [np.isfinite(log_terms).sum(axis=1), log_terms.shape[1]]
+            sums.append((np.isfinite(log_terms).sum(axis=1), log_terms.shape[1]))
             return log_sum_exp(log_terms)
 
-        monkeypatch.setattr(lower_limits, "bisect", bisect_spy)
         monkeypatch.setattr(lower_limits, "log_sum_exp", log_sum_exp_spy)
         sliced = lower_limit_table(p, TOL)
         assert np.array_equal(sliced.eps_lower, whole.eps_lower)
@@ -220,12 +220,15 @@ class TestLowerLimitRow:
         # The grid's live cells, in order of k + l, are cut into runs with
         # one solve each: a run is as wide as its largest k + l and holds
         # no more terms than the batch allows, unless it is one cell.
-        # Each call evaluates a subset of its run's cells, at that width.
-        assert len(runs) > 1
+        # Each step evaluates a subset of its run's cells, at that width,
+        # in one log-sum-exp.
+        assert len(solves) > 1
+        assert len(sums) == sum(len(solve.steps) for solve in solves)
         k, l = np.indices(whole.eps_lower.shape)
         live = (k >= 1) & ~whole.degenerate
-        seen, shrank = [], False
-        for calls in runs:
+        seen, shrank, sums = [], False, iter(sums)
+        for solve in solves:
+            calls = [(cells, *next(sums)) for cells in solve.steps]
             cells, terms, width = calls[0]
             shrank |= calls[-1][0].size < cells.size
             assert np.array_equal(cells, np.arange(terms.size))

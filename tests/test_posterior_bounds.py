@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scencert import binom_tail, lower_limits, posterior_bounds, serialize
-from scencert.classic_bounds import bisect, clopper_pearson
+from scencert.classic_bounds import clopper_pearson
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import (
     CertificateProblem,
@@ -20,7 +20,7 @@ from scencert.posterior_bounds import (
 )
 from scencert.refinement import refine
 
-from helpers import dense_margin, scan_root
+from helpers import dense_margin, record_solves, scan_root
 
 TOL = 1e-10
 
@@ -325,50 +325,30 @@ class TestBoundTable:
         assert np.array_equal(judged, table.eps[:, 5])
 
 
-def count_root_evals(monkeypatch):
-    """Replace the root kernel of both grid solvers with one that records
-    the evaluations per cell of each ``bisect`` call.  Every step evaluates
-    each cell still open, so the most per cell is the call's step count."""
-    solves = []
-
-    def counted(value, size, tol, guess=None):
-        evals = np.zeros(size, dtype=int)
-        solves.append(evals)
-
-        def counted_value(x, cells):
-            evals[cells] += 1
-            return value(x, cells)
-
-        return bisect(counted_value, size, tol, guess)
-
-    monkeypatch.setattr(posterior_bounds, "bisect", counted)
-    monkeypatch.setattr(lower_limits, "bisect", counted)
-    return solves
-
-
 class TestRootSteps:
     """No cell stays locked into plain bisection's L + 1 = 35 points at the
     default tolerance, so an array solve ends with its fastest cells.  The
     bounds leave two steps over the counts seen with SciPy 1.17, for other
-    versions of ``betainc``."""
+    versions of ``betainc``.  Every step evaluates each cell still open, so
+    the most evaluations per cell is a ``bisect`` call's step count."""
 
     @pytest.mark.parametrize("n, m, zeta, most", [(100, 100, 18, 13), (500, 500, 18, 16)])
     def test_paper_grids(self, monkeypatch, n, m, zeta, most):
-        solves = count_root_evals(monkeypatch)
+        solves = record_solves(monkeypatch, posterior_bounds, lower_limits)
         bound_table(*uniform_problem(n, m, zeta), TOL)
-        [evals] = solves
-        assert evals.max() <= most
+        [solve] = solves
+        assert solve.evals.max() <= most
 
     def test_cell_that_regula_falsi_approaches_from_one_side(self, monkeypatch):
-        solves = count_root_evals(monkeypatch)
+        solves = record_solves(monkeypatch, posterior_bounds, lower_limits)
         solve_root(13, 41, *uniform_problem(100, 100, 18), TOL)
-        [evals] = solves
-        assert evals.max() <= 12
+        [solve] = solves
+        assert solve.evals.max() <= 12
 
     def test_lower_limit_grid(self, monkeypatch):
-        solves = count_root_evals(monkeypatch)
+        solves = record_solves(monkeypatch, posterior_bounds, lower_limits)
         lower_limit_table(CertificateProblem(200, 400, 10, 1e-6), TOL)
-        assert max(evals.max() for evals in solves) <= 17
+        assert max(solve.evals.max() for solve in solves) <= 17
 
 
 class TestIncrementalMonotonicity:

@@ -13,7 +13,6 @@ from scipy.special import gammaln
 
 from scencert import binom_tail, posterior_bounds
 from scencert.binom_tail import _log_comb
-from scencert.classic_bounds import bisect
 from scencert.lower_limits import lower_limit_table
 from scencert.posterior_bounds import BoundTable, CertificateProblem, CoefficientVector
 from scencert.posterior_bounds import bound_table
@@ -28,7 +27,7 @@ from scencert.refinement import (
 from scencert.serialize import coefficients_json, parse_coefficients, trace_json
 from scencert.simplex import lp_solve
 
-from helpers import exact_binom_cdf, exact_certificate_sign
+from helpers import exact_binom_cdf, exact_certificate_sign, record_solves
 
 TOL = 1e-10
 
@@ -365,25 +364,6 @@ def per_row_lp(table, p, tau=refinement.DEFAULT_TAU):
     return objective / objective.max(), a, lower, upper
 
 
-def count_margin_evals(monkeypatch):
-    """Record, for each grid solve, whether it had a guess and the margin
-    evaluations of each cell."""
-    solves = []
-
-    def counted(value, size, tol, guess=None):
-        evals = np.zeros(size, dtype=int)
-        solves.append((guess is not None, evals))
-
-        def counted_value(x, cells):
-            evals[cells] += 1
-            return value(x, cells)
-
-        return bisect(counted_value, size, tol, guess)
-
-    monkeypatch.setattr(posterior_bounds, "bisect", counted)
-    return solves
-
-
 class TestWarmSteps:
     """Each step's grid starts from the previous roots, and its LP is built
     in batches of cells."""
@@ -404,13 +384,13 @@ class TestWarmSteps:
 
     @pytest.mark.parametrize("n, m, zeta", [(100, 5, 8), (100, 10, 8)])
     def test_margin_evaluations_per_cell(self, monkeypatch, n, m, zeta):
-        solves = count_margin_evals(monkeypatch)
+        solves = record_solves(monkeypatch, posterior_bounds)
         p = CertificateProblem(n, m, zeta, 1e-6)
         trace = refine(p, CoefficientVector.uniform(p), TOL)
-        assert [warm for warm, _ in solves] == [False] + [True] * (len(trace.iterations) - 1)
-        assert solves[-1][1].mean() <= 3.0
+        assert [solve.guessed for solve in solves] == [False] + [True] * (len(trace.iterations) - 1)
+        assert solves[-1].evals.mean() <= 3.0
         bound_table(p, trace.iterations[1].coefficients, TOL)
-        assert solves[1][1].mean() <= solves[-1][1].mean()  # step 1 against its cold solve
+        assert solves[1].evals.mean() <= solves[-1].evals.mean()  # step 1 against its cold solve
 
     @pytest.mark.parametrize("n, m, zeta", [(100, 10, 8), (1000, 1, 999)])
     def test_batched_lp_equals_per_row_build(self, n, m, zeta):

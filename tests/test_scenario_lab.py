@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scencert import binom_tail, posterior_bounds, scenario_lab
-from scencert.classic_bounds import bisect, chernoff_bound, clopper_pearson
+from scencert.classic_bounds import chernoff_bound, clopper_pearson
 from scencert.posterior_bounds import (
     CertificateProblem,
     CoefficientVector,
@@ -29,7 +29,7 @@ from scencert.scenario_lab import (
 )
 from scencert.serialize import gap_stats_json, records_csv, records_jsonl
 
-from helpers import reference_run_rng
+from helpers import record_solves, reference_run_rng
 
 
 def box(d):
@@ -272,17 +272,11 @@ class TestMonteCarlo:
     def test_root_solve_covers_exactly_the_runs_cells(self, monkeypatch):
         # One solve over the distinct (s, r) cells and one over eps_s's
         # zeta + 1 cells; the full grid would be 11 x 101 = 1,111 cells.
-        sizes = []
-
-        def sized(value, size, tol, guess=None):
-            sizes.append(size)
-            return bisect(value, size, tol, guess)
-
-        monkeypatch.setattr(posterior_bounds, "bisect", sized)
+        solves = record_solves(monkeypatch, posterior_bounds)
         toy = box(5)
         _, records = run_monte_carlo(toy, 100, 100, 1e-6, 300, master_seed=42)
         cells = {(rec.s, rec.r) for rec in records}
-        assert sorted(sizes) == sorted([len(cells), toy.zeta + 1])
+        assert sorted(solve.size for solve in solves) == sorted([len(cells), toy.zeta + 1])
 
     def test_records_are_named_tuples(self):
         fields = dict(run=3, s=2, r=1, v_true=0.25, eps_sr=0.5, eps_s=0.75,
