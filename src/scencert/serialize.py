@@ -146,13 +146,17 @@ def coefficients_json(values) -> str:
 
 
 def parse_coefficients(text: str) -> list[float]:
-    data = json.loads(text)
-    # bool is a subclass of int, but true/false are not coefficients.
-    if not isinstance(data, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
-    ):
-        raise ValueError("coefficient file must hold a JSON array of numbers")
-    return [float(v) for v in data]
+    try:
+        data = json.loads(text)
+        # bool is a subclass of int, but true/false are not coefficients.
+        if isinstance(data, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
+        ):
+            return [float(v) for v in data]
+    # An integer past the float range, or JSON nested past Python's stack.
+    except (OverflowError, RecursionError):
+        pass
+    raise ValueError("coefficient file must hold a JSON array of numbers in the float range")
 
 
 def records_csv(records) -> str:
@@ -207,9 +211,10 @@ def write_output(path: str, text: str) -> None:
     by renaming a flushed temporary sibling over it, so no partial file is
     ever left.  A path naming an open descriptor, such as /dev/stdout, is
     written through it, so ``>> log`` appends; any other target that is
-    not a regular file, such as a FIFO, is written directly by its path."""
+    not a regular file, such as a FIFO, is written directly by its path,
+    and an empty path fails as ``open`` fails on it."""
     fd = _descriptor(path)
-    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+    if fd is not None or not path or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path if fd is None else fd, "w", closefd=fd is None) as handle:
             handle.write(text)
         return

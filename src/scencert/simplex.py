@@ -14,9 +14,9 @@ module is loaded by file path on the first solve, so ``scipy.optimize``
 the program as NumPy arrays: the raveled dense rows of ``a`` and the row
 bounds as they are, int32 row starts every ``len(c)`` entries and the
 column indices ``0..len(c)-1`` for each row, so a program of 2^31
-entries or more raises ``SimplexError``.  Where that private module is
-missing or will not load, ``scipy.optimize.linprog`` runs HiGHS.  Both
-paths fix these options:
+entries or more raises ``SimplexError``.  SciPy ships that private module
+since 1.15; where it is missing or will not load, ``lp_solve`` raises
+``ImportError``.  It fixes these options:
 
 - ``output_flag`` off;
 - ``presolve`` off: near their fixed point every row of the refinement
@@ -41,7 +41,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cache
 
@@ -56,9 +55,9 @@ __all__ = [
     "lp_solve",
 ]
 
-# The HiGHS options both paths pass; each adds its own spelling of the
-# output and presolve switches.
 _HIGHS_OPTIONS = {
+    "output_flag": False,
+    "presolve": "off",
     "primal_feasibility_tolerance": 1e-10,
     "simplex_scale_strategy": 0,
     "small_matrix_value": 1e-12,
@@ -125,10 +124,11 @@ class LinearProgram:
 
 @cache
 def _load_highs():
-    """SciPy's HiGHS extension module, or None where it cannot be loaded.
+    """SciPy's HiGHS extension module, loaded by its file path.
 
     It is registered under its own name, so a later ``import
     scipy.optimize`` reuses it instead of loading the library twice.
+    Raises ImportError, naming the SciPy floor, where it cannot be loaded.
     """
     if _HIGHS_CORE in sys.modules:
         return sys.modules[_HIGHS_CORE]
@@ -139,60 +139,15 @@ def _load_highs():
             if os.path.isfile(path):
                 break
         else:
-            return None
+            raise ImportError(f"no {_HIGHS_CORE} extension module in {scipy_dir}")
         spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    except (ImportError, OSError):
-        return None
+    except (ImportError, OSError) as exc:
+        raise ImportError(f"lp_solve needs SciPy's HiGHS module, shipped since "
+                          f"scipy 1.15: {exc}") from exc
     sys.modules[_HIGHS_CORE] = module
     return module
-
-
-def _solve_core(h, lp: LinearProgram) -> np.ndarray:
-    (rows, n), entries = lp.a.shape, lp.a.size
-    if entries > _MAX_HIGHS_INDEX:
-        raise SimplexError(f"{rows} x {n} matrix entries overflow HiGHS's 32-bit indices")
-    highs = h._Highs()
-    for name, value in {"output_flag": False, "presolve": "off", **_HIGHS_OPTIONS}.items():
-        if highs.setOptionValue(name, value) == h.HighsStatus.kError:
-            raise SimplexError(f"HiGHS rejected option {name}={value!r}")
-    status = highs.passModel(
-        n, rows, entries, int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMaximize), 0.0,
-        lp.c, np.zeros(n), np.full(n, h.kHighsInf), lp.lower, lp.upper,
-        np.arange(0, entries, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), rows),
-        lp.a.ravel(), np.zeros(n, dtype=np.int32))
-    if status == h.HighsStatus.kError:
-        raise SimplexError("HiGHS rejected the model")
-    highs.run()
-    status = highs.getModelStatus()
-    if status == h.HighsModelStatus.kOptimal:
-        return np.array(highs.getSolution().col_value)
-    error = {h.HighsModelStatus.kInfeasible: LPInfeasibleError,
-             h.HighsModelStatus.kUnbounded: LPUnboundedError}.get(status, SimplexError)
-    raise error(f"HiGHS: {highs.modelStatusToString(status)}")
-
-
-def _solve_linprog(lp: LinearProgram) -> np.ndarray:
-    from scipy.optimize import OptimizeWarning, linprog
-
-    # linprog takes equalities apart and every other finite side as a <= row.
-    eq = lp.lower == lp.upper
-    below, above = ~eq & (lp.upper < np.inf), ~eq & (lp.lower > -np.inf)
-    with warnings.catch_warnings():
-        # SciPy passes the options it does not name to HiGHS, and says so.
-        names = "|".join(_HIGHS_OPTIONS)
-        warnings.filterwarnings("ignore", rf"Unrecognized options detected: \{{'({names})'",
-                                OptimizeWarning)
-        result = linprog(-lp.c, A_ub=np.concatenate([lp.a[below], -lp.a[above]]),
-                         b_ub=np.concatenate([lp.upper[below], -lp.lower[above]]),
-                         A_eq=lp.a[eq], b_eq=lp.lower[eq], bounds=(0.0, None),
-                         method="highs",
-                         options={"disp": False, "presolve": False, **_HIGHS_OPTIONS})
-    if result.status == 0:
-        return result.x
-    error = {2: LPInfeasibleError, 3: LPUnboundedError}.get(result.status, SimplexError)
-    raise error(f"linprog: {result.message}")
 
 
 def lp_solve(lp: LinearProgram) -> np.ndarray:
@@ -205,5 +160,24 @@ def lp_solve(lp: LinearProgram) -> np.ndarray:
     any of these there signals numerical breakdown.
     """
     h = _load_highs()
-    x = _solve_core(h, lp) if h is not None else _solve_linprog(lp)
-    return np.clip(x, 0.0, None)
+    (rows, n), entries = lp.a.shape, lp.a.size
+    if entries > _MAX_HIGHS_INDEX:
+        raise SimplexError(f"{rows} x {n} matrix entries overflow HiGHS's 32-bit indices")
+    highs = h._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        if highs.setOptionValue(name, value) == h.HighsStatus.kError:
+            raise SimplexError(f"HiGHS rejected option {name}={value!r}")
+    status = highs.passModel(
+        n, rows, entries, int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMaximize), 0.0,
+        lp.c, np.zeros(n), np.full(n, h.kHighsInf), lp.lower, lp.upper,
+        np.arange(0, entries, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), rows),
+        lp.a.ravel(), np.zeros(n, dtype=np.int32))
+    if status == h.HighsStatus.kError:
+        raise SimplexError("HiGHS rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == h.HighsModelStatus.kOptimal:
+        return np.clip(highs.getSolution().col_value, 0.0, None)
+    error = {h.HighsModelStatus.kInfeasible: LPInfeasibleError,
+             h.HighsModelStatus.kUnbounded: LPUnboundedError}.get(status, SimplexError)
+    raise error(f"HiGHS: {highs.modelStatusToString(status)}")

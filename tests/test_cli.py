@@ -22,10 +22,12 @@ from scencert.serialize import parse_coefficients
 
 from helpers import dense_margin, exact_certificate_sign
 
-# The linprog fallback runs an older HiGHS, whose weights may differ in the
-# last digits.
-_ON_HIGHS_CORE = pytest.mark.skipif(simplex._load_highs() is None,
-                                    reason="lp_solve runs on the linprog fallback")
+# The refine digests were measured under HiGHS 1.12; another HiGHS release
+# may give weights that differ in the last digits.
+_HIGHS = simplex._load_highs()
+_ON_HIGHS_1_12 = pytest.mark.skipif(
+    (_HIGHS.HIGHS_VERSION_MAJOR, _HIGHS.HIGHS_VERSION_MINOR) != (1, 12),
+    reason="the refine digests were measured under HiGHS 1.12")
 
 
 def readme_examples():
@@ -224,9 +226,14 @@ class TestExitCodes:
         assert out == ""
         assert not grid_path.exists()
 
-    def test_boolean_coefficients_are_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "[false, false, true, false]",
+        "[1" + "0" * 400 + "]",
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["booleans", "integer-past-float-range", "nested-past-recursion-limit"])
+    def test_boolean_coefficients_are_rejected(self, capsys, tmp_path, text):
         coeffs_path = tmp_path / "coeffs.json"
-        coeffs_path.write_text("[false, false, true, false]")
+        coeffs_path.write_text(text)
         code, _, err = run_cli(capsys, "bound", "--n", "3", "--m", "0",
                                "--zeta", "2", "--beta", "1e-6", "--k", "1",
                                "--l", "0", "--coeffs", str(coeffs_path))
@@ -298,7 +305,7 @@ class TestFiles:
         pytest.param(
             ("refine", "--n", "100", "--m", "10", "--zeta", "8", "--beta", "1e-6", "--output"),
             "3e0aea4c824affeeac123e322bf49722f16193e3a44e53a12a87d8b3aacef919",
-            marks=_ON_HIGHS_CORE,
+            marks=_ON_HIGHS_1_12,
         ),
         (("lower-limit", "--n", "100", "--m", "25", "--zeta", "10", "--beta", "1e-6",
           "--output"),
@@ -326,7 +333,7 @@ class TestFiles:
             ("refine", "--n", "100", "--m", "10", "--zeta", "8", "--beta", "1e-6",
              "--coeffs-out"),
             "0732b9ddf39d8e185fcfdd62f87af65b9d5e9fc0c208fae575dfc82df4477212",
-            marks=_ON_HIGHS_CORE,
+            marks=_ON_HIGHS_1_12,
         ),
         # 14 runs that mix k, where the (100, 25, 10) grid fits in one
         (("lower-limit", "--n", "200", "--m", "400", "--zeta", "10", "--beta", "1e-6",
@@ -427,6 +434,17 @@ class TestFiles:
         path = tmp_path / "missing" / "out.csv"
         assert run_cli(capsys, *command, "--output", str(path)) == (
             3, "", f"error: [Errno 2] No such file or directory: {str(path)!r}\n")
+
+    def test_empty_output_path_is_named_and_writes_nothing(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # os.path.realpath('') is the working directory, whose parent
+        # would receive the temporary file.
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run_cli(capsys, *self.LIMITS, "--output", "") == (
+            3, "", "error: [Errno 2] No such file or directory: ''\n")
+        assert [path.name for path in tmp_path.rglob("*")] == ["cwd"]
 
     def test_output_file_mode_follows_umask(self, capsys, tmp_path):
         path = tmp_path / "limits.csv"

@@ -3,12 +3,10 @@
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import scencert
 from scencert import simplex
@@ -26,12 +24,6 @@ from scencert.simplex import (
 from helpers import random_feasible_lp, vertex_optimum
 
 ROOT = Path(__file__).resolve().parent.parent
-# Older SciPy releases have no HiGHS module of this layout; lp_solve then
-# runs on linprog, and the tests of the main path have nothing to test.
-needs_highs_core = pytest.mark.skipif(
-    not any((Path(scipy.__file__).parent / "optimize" / "_highspy").glob("_core.*")),
-    reason="this SciPy has no optimize/_highspy/_core module",
-)
 
 
 INF = np.inf
@@ -194,31 +186,13 @@ def test_beale_cycling_example():
     assert x == pytest.approx(np.array([1.0, 0.0, 1.0, 0.0]), abs=1e-12)
 
 
-def test_missing_highs_core_selects_the_fallback(monkeypatch):
+def test_missing_highs_core_raises_import_error(monkeypatch):
     monkeypatch.delitem(sys.modules, simplex._HIGHS_CORE, raising=False)
     monkeypatch.setattr(simplex.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-    assert simplex._load_highs.__wrapped__() is None
+    with pytest.raises(ImportError, match=r"scipy 1\.15"):
+        simplex._load_highs.__wrapped__()
 
 
-def test_linprog_fallback_matches_the_core(monkeypatch):
-    core = [lp_solve(lp) for lp in _oracle_lps()]
-    problem = CertificateProblem(100, 5, 8, 1e-6)
-    initial = CoefficientVector.uniform(problem)
-    core_trace = refine(problem, initial, tol_root=1e-10)
-
-    monkeypatch.setattr(simplex, "_load_highs", lambda: None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fallback = [lp_solve(lp) for lp in _oracle_lps()]
-        fallback_trace = refine(problem, initial, tol_root=1e-10)
-    for lp, a, b in zip(_oracle_lps(), core, fallback, strict=True):
-        assert lp.c @ b == pytest.approx(vertex_optimum(lp), abs=1e-7)
-        assert lp.c @ b == pytest.approx(lp.c @ a, abs=1e-9)
-    assert fallback_trace.termination == core_trace.termination == "converged"
-    assert np.abs(fallback_trace.final.table.t - core_trace.final.table.t).max() <= 2e-10
-
-
-@needs_highs_core
 def test_refine_never_imports_scipy_optimize():
     # The HiGHS module is loaded by file path: importing scipy.optimize
     # would add about 23 MB of resident memory to every refine run.
@@ -236,7 +210,6 @@ def test_refine_never_imports_scipy_optimize():
     assert result.returncode == 0, result.stderr
 
 
-@needs_highs_core
 def test_matrix_beyond_32_bit_indices_is_refused(monkeypatch, capsys):
     # Lowering the limit stands in for a program of 2^31 entries.
     lp = _oracle_lps()[0]
@@ -249,7 +222,6 @@ def test_matrix_beyond_32_bit_indices_is_refused(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("lp_failure after 0 refinement steps")
 
 
-@needs_highs_core
 def test_iteration_limit_ends_refine_in_lp_failure(monkeypatch):
     # The first refinement step at (100, 5, 8) takes 6 simplex iterations.
     problem = CertificateProblem(100, 5, 8, 1e-6)
